@@ -56,7 +56,7 @@ def fit_power_law(points):
 
 
 def chi_max_scan(model, sizes, tol=bethe.DEFAULT_TOL,
-                 max_iter=bethe.DEFAULT_MAX_ITER, damping=bethe.DEFAULT_DAMPING):
+                 max_iter=bethe.DEFAULT_MAX_ITER):
     """Susceptibility maximum and its field location for each system size.
 
     Both models peak at the first crossing, so only h_0 (and, for the ring,
@@ -82,18 +82,16 @@ def chi_max_scan(model, sizes, tol=bethe.DEFAULT_TOL,
             rows.append((n, 1.0 - 1.0 / n, lmg.lmg_chi_max(n)))
         else:
             h0, h1 = [c.field for c in heisenberg_first_crossings(
-                n, tol=tol, max_iter=max_iter, damping=damping)]
+                n, tol=tol, max_iter=max_iter)]
             f = crossing_fidelity(n, n // 2, n // 2 - 1)
             rows.append((n, h0, float(crossing_susceptibility(f, h0 - h1))))
     return rows
 
 
 def heisenberg_first_crossings(n, tol=bethe.DEFAULT_TOL,
-                               max_iter=bethe.DEFAULT_MAX_ITER,
-                               damping=bethe.DEFAULT_DAMPING):
+                               max_iter=bethe.DEFAULT_MAX_ITER):
     """The two crossings framing the chi maximum of the ring (j = 0 and 1)."""
-    return bethe.heisenberg_crossings(n, max_index=1, tol=tol,
-                                      max_iter=max_iter, damping=damping)
+    return bethe.heisenberg_crossings(n, max_index=1, tol=tol, max_iter=max_iter)
 
 
 def min_fidelity(curve):

@@ -34,7 +34,6 @@ class RunConfig:
     sizes: tuple
     tol: float = bethe.DEFAULT_TOL
     max_iter: int = bethe.DEFAULT_MAX_ITER
-    damping: float = bethe.DEFAULT_DAMPING
     format: str = "csv"
     output: str = "-"
 
@@ -55,8 +54,6 @@ class RunConfig:
             raise ConfigError("tol must be positive")
         if self.max_iter < 0:
             raise ConfigError("max-iter must be nonnegative")
-        if not 0.0 < self.damping <= 1.0:
-            raise ConfigError("damping must lie in (0, 1]")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
 
@@ -67,7 +64,6 @@ class RunConfig:
             "sizes": list(self.sizes),
             "tol": self.tol,
             "max_iter": self.max_iter,
-            "damping": self.damping,
             "format": self.format,
             "output": self.output,
         }
@@ -122,8 +118,7 @@ def cmd_curve(config):
             curve = lmg.lmg_curve(n)
         else:
             curve = bethe.heisenberg_curve(n, tol=config.tol,
-                                           max_iter=config.max_iter,
-                                           damping=config.damping)
+                                           max_iter=config.max_iter)
         for point in curve:
             rows.append({
                 "model": config.model,
@@ -144,7 +139,7 @@ def cmd_curve(config):
 def cmd_scaling(config):
     """Emit per-size (N, h_at_max, chi_max) rows plus a trailing fit record."""
     scan = analysis.chi_max_scan(config.model, config.sizes, tol=config.tol,
-                                 max_iter=config.max_iter, damping=config.damping)
+                                 max_iter=config.max_iter)
     fit = analysis.fit_power_law([(n, chi) for n, _, chi in scan])
     rows = [{
         "model": config.model,
@@ -169,15 +164,14 @@ def cmd_scaling(config):
     return 0
 
 
-def cmd_validate(max_size, tol, max_iter, damping, output):
+def cmd_validate(max_size, tol, max_iter, output):
     """Run the ED oracle against the Bethe route for every even N up to max_size."""
     if max_size % 2 != 0 or not 4 <= max_size <= 14:
         raise ConfigError("max-size must be even and within [4, 14]")
     rows = []
     all_passed = True
     for n in range(4, max_size + 1, 2):
-        report = ed.validate_bethe(n, solver_tol=tol, max_iter=max_iter,
-                                   damping=damping)
+        report = ed.validate_bethe(n, solver_tol=tol, max_iter=max_iter)
         all_passed = all_passed and report.passed
         for c in report.sectors:
             rows.append({
@@ -217,7 +211,6 @@ def _parser():
                            help="comma list of even system sizes")
         p.add_argument("--tol", type=float, default=bethe.DEFAULT_TOL)
         p.add_argument("--max-iter", type=int, default=bethe.DEFAULT_MAX_ITER)
-        p.add_argument("--damping", type=float, default=bethe.DEFAULT_DAMPING)
         p.add_argument("--output", default="-", help="file path or - for stdout")
 
     curve = sub.add_parser("curve", help="fidelity/susceptibility curve rows")
@@ -245,11 +238,11 @@ def main(argv=None):
     try:
         if args.command == "validate":
             return cmd_validate(args.max_size, args.tol, args.max_iter,
-                                args.damping, args.output)
+                                args.output)
         config = RunConfig(command=args.command, model=args.model,
                            sizes=_parse_sizes(args.sizes), tol=args.tol,
-                           max_iter=args.max_iter, damping=args.damping,
-                           format=args.format, output=args.output)
+                           max_iter=args.max_iter, format=args.format,
+                           output=args.output)
         if args.command == "curve":
             return cmd_curve(config)
         return cmd_scaling(config)

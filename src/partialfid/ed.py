@@ -131,8 +131,7 @@ class ValidationReport:
 
 def validate_bethe(n, tol=DEFAULT_VALIDATION_TOL, cap=DEFAULT_DIMENSION_CAP,
                    solver_tol=bethe.DEFAULT_TOL,
-                   max_iter=bethe.DEFAULT_MAX_ITER,
-                   damping=bethe.DEFAULT_DAMPING):
+                   max_iter=bethe.DEFAULT_MAX_ITER):
     """Compare every sector of an n-spin ring against exact diagonalization.
 
     Checks |E_bethe - E_ed| at h = 0 for n_down = 0 ... n/2 and the crossing
@@ -152,7 +151,7 @@ def validate_bethe(n, tol=DEFAULT_VALIDATION_TOL, cap=DEFAULT_DIMENSION_CAP,
     sectors = []
     for n_down in range(n // 2 + 1):
         e_bethe = bethe.sector_energy(n, n_down, 0.0, tol=solver_tol,
-                                      max_iter=max_iter, damping=damping)
+                                      max_iter=max_iter)
         e_ed = ed_sector_ground_energy(n, n_down, 0.0, cap=cap)
         difference = abs(e_bethe - e_ed)
         energies_bethe.append(e_bethe)
@@ -164,7 +163,7 @@ def validate_bethe(n, tol=DEFAULT_VALIDATION_TOL, cap=DEFAULT_DIMENSION_CAP,
     # E(n_down, 0) = n/4 - epsilon(n_down), so the crossing field
     # (epsilon(j+1) - epsilon(j))/2 is half the ED energy drop.
     crossings_bethe = bethe.heisenberg_crossings(
-        n, tol=solver_tol, max_iter=max_iter, damping=damping
+        n, tol=solver_tol, max_iter=max_iter
     )
     crossings = []
     for j in range(n // 2):

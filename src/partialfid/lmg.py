@@ -45,13 +45,19 @@ def lmg_energy(n, m, h):
     return (2.0 / n) * (m - h * n / 2.0) ** 2 - (n / 2.0) * (1.0 + h * h)
 
 
+def _crossing_field(n, j):
+    """Field h_j = 1 - (2j+1)/n where sectors n/2 - j and n/2 - j - 1 cross."""
+    return 1.0 - (2 * j + 1) / n
+
+
 def lmg_ground_magnetization(n, h):
     """Ground-state magnetization at field h: the m minimizing the sector energy.
 
     For h >= 1 the fully polarized sector n/2 wins; below, the minimizer of
     (m - hn/2)^2 is the nearest integer to hn/2.  At an exact tie (h equal to
     a crossing field) the larger m is returned, which makes the result
-    right-continuous in h.
+    right-continuous in h.  Ties are decided against the same float fields
+    `lmg_crossings` emits, so the two agree at every crossing.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"number of spins must be even and >= 2, got {n}")
@@ -59,8 +65,13 @@ def lmg_ground_magnetization(n, h):
         raise ValueError(f"field must be nonnegative, got {h}")
     if h >= 1.0:
         return n // 2
-    m = int(math.floor(h * n / 2.0 + 0.5))  # round half up = larger m at ties
-    return min(m, n // 2)
+    m = min(int(math.floor(h * n / 2.0 + 0.5)), n // 2)
+    # hn/2 may round across a tie; sector m is ground on [h_{n/2-m}, h_{n/2-m-1})
+    while m < n // 2 and h >= _crossing_field(n, n // 2 - m - 1):
+        m += 1
+    while m > 0 and h < _crossing_field(n, n // 2 - m):
+        m -= 1
+    return m
 
 
 def lmg_crossings(n):
@@ -68,7 +79,7 @@ def lmg_crossings(n):
     if n < 2 or n % 2 != 0:
         raise ValueError(f"number of spins must be even and >= 2, got {n}")
     return [
-        CrossingPoint(j, 1.0 - (2 * j + 1) / n, n // 2 - j, n // 2 - j - 1)
+        CrossingPoint(j, _crossing_field(n, j), n // 2 - j, n // 2 - j - 1)
         for j in range(n // 2)
     ]
 

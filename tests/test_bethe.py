@@ -100,9 +100,36 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_bethe(8, 2, tol=0.0)
         with pytest.raises(ValueError):
-            solve_bethe(8, 2, damping=0.0)
-        with pytest.raises(ValueError):
-            solve_bethe(8, 2, damping=1.5)
+            solve_bethe(8, 2, max_iter=-1)
+
+    def test_singular_jacobian_reports_sector(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(ConvergenceError) as info:
+            solve_bethe(12, 6)
+        err = info.value
+        assert (err.n, err.n_down, err.iterations) == (12, 6, 0)
+        assert err.residual > 0.0
+
+    def test_non_finite_step_reports_sector(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+        with pytest.raises(ConvergenceError) as info:
+            solve_bethe(12, 6)
+        assert (info.value.n, info.value.n_down) == (12, 6)
+
+    def test_tolerance_reachable_at_large_n(self):
+        # (2060, 1030) is the smallest half-filled sector where Newton stalls
+        # above an absolute 1e-12 (at 1.4e-12 in float64); the threshold
+        # tol * n / 64 is reachable
+        roots = solve_bethe(2060, 1030)
+        assert roots.residual <= 1e-12 * 2060 / 64
+        assert np.all(np.diff(roots.rapidities) > 0.0)
+
+    def test_newton_converges_in_few_steps(self):
+        for n, n_down in [(64, 32), (256, 128), (512, 256)]:
+            assert solve_bethe(n, n_down).iterations <= 12
 
 
 class TestSectorEnergy:

@@ -116,7 +116,7 @@ class TestCurve:
         ("curve", "--model", "heisenberg", "--sizes", "2"),
         ("curve", "--model", "heisenberg", "--sizes", "8,9"),
         ("curve", "--model", "lmg", "--sizes", ""),
-        ("curve", "--model", "lmg", "--sizes", "4", "--damping", "0"),
+        ("curve", "--model", "lmg", "--sizes", "4", "--max-iter", "-1"),
         ("curve", "--model", "lmg", "--sizes", "4", "--tol", "-1"),
         ("curve", "--model", "unknown", "--sizes", "4"),
         ("curve", "--sizes", "4"),

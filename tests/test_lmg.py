@@ -59,6 +59,15 @@ class TestGroundMagnetization:
         assert lmg_ground_magnetization(4, 0.75) == 2
         assert lmg_ground_magnetization(4, 0.25) == 1
 
+    def test_agrees_with_emitted_crossing_fields(self):
+        # at every field lmg_crossings emits the larger sector wins, and one
+        # ulp below it the smaller one, for all N <= 1000
+        for n in range(2, 1001, 2):
+            for c in lmg_crossings(n):
+                assert lmg_ground_magnetization(n, c.field) == c.sector_above
+                below = math.nextafter(c.field, -math.inf)
+                assert lmg_ground_magnetization(n, below) == c.sector_below
+
     def test_matches_energy_argmin_on_dense_grid(self):
         for n in (4, 10, 48, 200):
             crossing_fields = {c.field for c in lmg_crossings(n)}
