@@ -3,7 +3,8 @@
 Single-site fidelity and its susceptibility for two models with exactly
 solvable magnetization sectors: the isotropic Lipkin-Meshkov-Glick model
 (closed forms throughout) and the antiferromagnetic spin-1/2 Heisenberg ring
-(Bethe-Ansatz sector solver, cross-checked by dense exact diagonalization).
+(Bethe-Ansatz sector solver, cross-checked by sparse exact diagonalization
+of rings up to N = 20).
 """
 
 from .analysis import (
@@ -27,6 +28,7 @@ from .bethe import (
 )
 from .ed import (
     SectorBasis,
+    SectorHamiltonian,
     ValidationReport,
     ed_sector_ground_energy,
     sector_basis,
@@ -64,6 +66,7 @@ __all__ = [
     "LmgSector",
     "PowerLawFit",
     "SectorBasis",
+    "SectorHamiltonian",
     "ValidationReport",
     "bethe_quantum_numbers",
     "bethe_residual",

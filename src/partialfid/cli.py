@@ -166,8 +166,8 @@ def cmd_scaling(config):
 
 def cmd_validate(max_size, tol, max_iter, output):
     """Run the ED oracle against the Bethe route for every even N up to max_size."""
-    if max_size % 2 != 0 or not 4 <= max_size <= 14:
-        raise ConfigError("max-size must be even and within [4, 14]")
+    if max_size % 2 != 0 or not 4 <= max_size <= 20:
+        raise ConfigError("max-size must be even and within [4, 20]")
     rows = []
     all_passed = True
     for n in range(4, max_size + 1, 2):

@@ -1,13 +1,17 @@
-"""Dense exact-diagonalization oracle for small Heisenberg rings.
+"""Sparse exact-diagonalization oracle for Heisenberg rings up to N = 20.
 
 Builds the Hamiltonian of one fixed-magnetization sector in the bit-string
-basis (a set bit is a down spin) and diagonalizes it, providing ground-state
-energies that are independent of the Bethe-Ansatz route.  Used to validate
-sector energies, crossing fields, and full curves at desk scale; the Zeeman
-part commutes with the sector projection and is added analytically.
+basis (a set bit is a down spin) as a sparse CSR matrix and takes its lowest
+eigenvalue by Lanczos iteration, providing ground-state energies that are
+independent of the Bethe-Ansatz route.  Used to validate sector energies,
+crossing fields, and full curves at desk scale; the Zeeman part commutes
+with the sector projection and is added analytically.
 
 The ring sum runs literally over bonds (i, i+1 mod n), so n = 2 counts its
 single bond twice; n = 2 is therefore excluded from validation.
+
+`scipy.sparse` is imported inside the functions that use it, so importing
+the package does not load it.
 """
 
 from __future__ import annotations
@@ -16,12 +20,13 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.linalg import eigvalsh
 
 from . import bethe
 
-DEFAULT_DIMENSION_CAP = 4000  # covers n = 14 at half filling (dimension 3432)
+DEFAULT_DIMENSION_CAP = 200_000  # covers n = 20 at half filling (184,756)
 DEFAULT_VALIDATION_TOL = 1e-8
+
+_NO_STATES = np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -43,14 +48,54 @@ class SectorBasis:
         return comb(self.n, self.n_down)
 
 
-def sector_basis(n, n_down):
-    """Enumerate all n-bit configurations with exactly n_down set bits."""
+def _check_sector(n, n_down):
     if n < 2 or n % 2 != 0:
         raise ValueError(f"ring length must be even and >= 2, got {n}")
+    if n > 62:
+        raise ValueError(f"states are 64-bit integers: ring length must be "
+                         f"<= 62, got {n}")
     if not 0 <= n_down <= n:
         raise ValueError(f"n_down must lie in [0, {n}], got {n_down}")
-    states = tuple(s for s in range(1 << n) if s.bit_count() == n_down)
-    return SectorBasis(n, n_down, states)
+
+
+def _sector_states(n, n_down):
+    """Ascending n-bit integers with exactly n_down set bits (int64 array).
+
+    Adds one bit at a time as the new highest bit: the m+1-bit integers with
+    k set bits are the m-bit ones with k set bits, followed by 2^m plus the
+    m-bit ones with k - 1 set bits, so every list stays ascending.  Only the
+    counts k that can still reach n_down are kept, so the work is a few
+    times the sector dimension, never 2^n.
+    """
+    levels = {0: np.zeros(1, dtype=np.int64)}
+    for m in range(n):
+        keep = range(max(0, n_down - (n - m - 1)), min(n_down, m + 1) + 1)
+        levels = {k: np.concatenate((levels.get(k, _NO_STATES),
+                                     (1 << m) | levels.get(k - 1, _NO_STATES)))
+                  for k in keep}
+    return levels[n_down]
+
+
+def sector_basis(n, n_down):
+    """Enumerate all n-bit configurations with exactly n_down set bits."""
+    _check_sector(n, n_down)
+    return SectorBasis(n, n_down, tuple(_sector_states(n, n_down).tolist()))
+
+
+@dataclass(frozen=True)
+class SectorHamiltonian:
+    """Exchange part of one sector as a scipy CSR matrix (`matrix`).
+
+    Rows and columns follow the ascending basis of `sector_basis`.
+    """
+
+    matrix: object
+
+    @property
+    def nbytes(self):
+        """Bytes held by the CSR arrays (values, column indices, row pointers)."""
+        m = self.matrix
+        return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
 
 
 def sector_hamiltonian(n, n_down, cap=DEFAULT_DIMENSION_CAP):
@@ -58,37 +103,58 @@ def sector_hamiltonian(n, n_down, cap=DEFAULT_DIMENSION_CAP):
 
     Diagonal entries are sum_i s_i s_{i+1} with s = +-1/2; each antiparallel
     neighbor pair contributes an off-diagonal 1/2 to the configuration with
-    that pair exchanged (periodic boundary).  Returns a dense symmetric
+    that pair exchanged (periodic boundary), located in the sorted basis by
+    binary search.  Returns a `SectorHamiltonian` holding a symmetric CSR
     matrix.
     """
+    _check_sector(n, n_down)
     dim = comb(n, n_down)
     if dim > cap:
         raise ValueError(
             f"sector (n={n}, n_down={n_down}) has dimension {dim}, "
             f"above the cap of {cap}"
         )
-    basis = sector_basis(n, n_down)
-    index = {s: i for i, s in enumerate(basis.states)}
-    h = np.zeros((dim, dim))
-    for s in basis.states:
-        row = index[s]
-        diagonal = 0.0
-        for i in range(n):
-            j = (i + 1) % n
-            if ((s >> i) & 1) == ((s >> j) & 1):
-                diagonal += 0.25
-            else:
-                diagonal -= 0.25
-                flipped = s ^ (1 << i) ^ (1 << j)
-                h[index[flipped], row] += 0.5
-        h[row, row] += diagonal
-    return h
+    from scipy.sparse import csr_array
+
+    states = _sector_states(n, n_down)
+    diagonal = np.full(dim, 0.25 * n)
+    rows, cols = [np.arange(dim)], [np.arange(dim)]
+    for i in range(n):
+        j = (i + 1) % n
+        antiparallel = np.flatnonzero(((states >> i) ^ (states >> j)) & 1)
+        diagonal[antiparallel] -= 0.5
+        flipped = states[antiparallel] ^ ((1 << i) | (1 << j))
+        rows.append(antiparallel)
+        cols.append(np.searchsorted(states, flipped))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    values = np.full(rows.size, 0.5)
+    values[:dim] = diagonal
+    # the n = 2 ring yields each flip twice; the conversion sums duplicates
+    matrix = csr_array((values, (rows, cols)), shape=(dim, dim))
+    return SectorHamiltonian(matrix)
+
+
+def _lowest_eigenvalue(matrix):
+    """Lowest eigenvalue of a symmetric sparse matrix.
+
+    Lanczos (ARPACK `eigsh`) from a fixed random start vector, so repeated
+    runs give identical bits.  ARPACK needs k < dimension, so the one- and
+    two-state sectors are diagonalized densely.
+    """
+    dim = matrix.shape[0]
+    if dim <= 2:
+        return np.linalg.eigvalsh(matrix.toarray())[0]
+    from scipy.sparse.linalg import eigsh
+
+    start = np.random.default_rng(0).standard_normal(dim)
+    return eigsh(matrix, k=1, which="SA", v0=start,
+                 return_eigenvectors=False)[0]
 
 
 def ed_sector_ground_energy(n, n_down, h, cap=DEFAULT_DIMENSION_CAP):
     """Lowest sector eigenvalue plus the analytic Zeeman shift -h(n - 2 n_down)."""
-    matrix = sector_hamiltonian(n, n_down, cap=cap)
-    lowest = eigvalsh(matrix, subset_by_index=(0, 0))[0]
+    hamiltonian = sector_hamiltonian(n, n_down, cap=cap)
+    lowest = _lowest_eigenvalue(hamiltonian.matrix)
     return float(lowest) - h * (n - 2 * n_down)
 
 

@@ -206,3 +206,17 @@ def test_criterion_8_property_suite():
             assert fields[-1] > 0.0
 
     run_criterion(8, "property suite: fidelity, roots, epsilon, fields", 30.0, body)
+
+
+def test_criterion_9_bethe_vs_sparse_ed_at_16_and_18():
+    def body():
+        for n in (16, 18):
+            report = validate_bethe(n, tol=1e-8)
+            assert report.passed, f"N={n}: {report.failures()}"
+            assert len(report.sectors) == n // 2 + 1
+            assert len(report.crossings) == n // 2
+            assert all(c.difference < 1e-8
+                       for c in report.sectors + report.crossings)
+
+    run_criterion(9, "Bethe = sparse ED energies and crossings, N = 16, 18",
+                  30.0, body)

@@ -170,10 +170,16 @@ class TestValidate:
         assert all(r["passed"] == "true" for r in rows)
         assert all(float(r["difference"]) < 1e-8 for r in rows)
 
-    @pytest.mark.parametrize("size", ["3", "2", "16", "9"])
+    @pytest.mark.parametrize("size", ["3", "2", "22", "9"])
     def test_bad_max_size(self, capsys, size):
         code, _, _ = run(capsys, "validate", "--max-size", size)
         assert code == 2
+
+    def test_repeat_runs_byte_identical(self, capsys):
+        first = run(capsys, "validate", "--max-size", "12")
+        second = run(capsys, "validate", "--max-size", "12")
+        assert first[0] == 0
+        assert first == second
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.csv"

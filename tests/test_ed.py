@@ -1,14 +1,44 @@
 """Exact-diagonalization oracle tests."""
 
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import partialfid
 from partialfid import (
     ed_sector_ground_energy,
     sector_basis,
     sector_hamiltonian,
     validate_bethe,
 )
+
+
+def literal_hamiltonian(n, n_down):
+    """Dense sector Hamiltonian filled entry by entry: the reference builder.
+
+    Walks every basis state and every ring bond (i, i+1 mod n) in Python, so
+    it shares no vectorized step with `sector_hamiltonian`.
+    """
+    states = [s for s in range(1 << n) if s.bit_count() == n_down]
+    index = {s: i for i, s in enumerate(states)}
+    h = np.zeros((len(states), len(states)))
+    for s in states:
+        row = index[s]
+        diagonal = 0.0
+        for i in range(n):
+            j = (i + 1) % n
+            if ((s >> i) & 1) == ((s >> j) & 1):
+                diagonal += 0.25
+            else:
+                diagonal -= 0.25
+                flipped = s ^ (1 << i) ^ (1 << j)
+                h[index[flipped], row] += 0.5
+        h[row, row] += diagonal
+    return h
 
 
 class TestBasis:
@@ -27,34 +57,58 @@ class TestBasis:
             sector_basis(5, 2)
         with pytest.raises(ValueError):
             sector_basis(4, 5)
+        with pytest.raises(ValueError, match="64-bit"):
+            sector_basis(64, 1)
+
+    def test_matches_popcount_filter(self):
+        for n in (2, 6, 10):
+            for n_down in range(n + 1):
+                expected = tuple(s for s in range(1 << n)
+                                 if s.bit_count() == n_down)
+                assert sector_basis(n, n_down).states == expected
+
+    def test_small_sector_of_long_ring(self):
+        # built from the sector alone: a filter over all 2^60 integers
+        # could not run
+        basis = sector_basis(60, 2)
+        assert basis.dimension == comb(60, 2)
+        assert basis.states[0] == 0b11
+        assert basis.states[-1] == 0b11 << 58
+        assert list(basis.states) == sorted(set(basis.states))
+        assert all(s.bit_count() == 2 for s in basis.states)
 
 
 class TestHamiltonian:
+    @pytest.mark.parametrize("n, n_down", [(2, 1), (8, 3), (10, 5)])
+    def test_equals_literal_builder(self, n, n_down):
+        h = sector_hamiltonian(n, n_down).matrix.toarray()
+        assert np.array_equal(h, literal_hamiltonian(n, n_down))
+
     def test_two_site_ring_counts_bond_twice(self):
         # both bonds join the same pair, so the flip amplitude doubles
-        h = sector_hamiltonian(2, 1)
+        h = sector_hamiltonian(2, 1).matrix.toarray()
         assert np.array_equal(h, [[-0.5, 1.0], [1.0, -0.5]])
         assert np.linalg.eigvalsh(h)[0] == pytest.approx(-1.5, abs=1e-14)
 
     def test_four_site_half_filling(self):
-        h = sector_hamiltonian(4, 2)
+        h = sector_hamiltonian(4, 2).matrix.toarray()
         assert h.shape == (6, 6)
         assert np.linalg.eigvalsh(h)[0] == pytest.approx(-2.0, abs=1e-12)
 
     def test_eight_site_half_filling(self):
-        h = sector_hamiltonian(8, 4)
+        h = sector_hamiltonian(8, 4).matrix.toarray()
         assert h.shape == (70, 70)
         assert np.linalg.eigvalsh(h)[0] == pytest.approx(-3.6510934089, abs=1e-9)
 
     def test_exactly_symmetric(self):
         for n, n_down in [(6, 2), (8, 3), (10, 5)]:
-            h = sector_hamiltonian(n, n_down)
+            h = sector_hamiltonian(n, n_down).matrix.toarray()
             assert np.array_equal(h, h.T)
 
     def test_off_diagonal_row_sums_count_antiparallel_pairs(self):
         n, n_down = 8, 3
         basis = sector_basis(n, n_down)
-        h = sector_hamiltonian(n, n_down)
+        h = sector_hamiltonian(n, n_down).matrix.toarray()
         off = np.abs(h - np.diag(np.diag(h))).sum(axis=1)
         for row, s in enumerate(basis.states):
             pairs = sum(((s >> i) & 1) != ((s >> ((i + 1) % n)) & 1)
@@ -64,6 +118,17 @@ class TestHamiltonian:
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="3432"):
             sector_hamiltonian(14, 7, cap=1000)
+
+    def test_nbytes_counts_the_sparse_arrays(self):
+        h = sector_hamiltonian(10, 5)
+        m = h.matrix
+        # one diagonal entry per state plus one per antiparallel bond
+        nonzeros = sum(1 + sum(((s >> i) ^ (s >> ((i + 1) % 10))) & 1
+                               for i in range(10))
+                       for s in sector_basis(10, 5).states)
+        assert m.nnz == nonzeros
+        assert h.nbytes == m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+        assert h.nbytes < literal_hamiltonian(10, 5).nbytes
 
 
 class TestGroundEnergy:
@@ -78,6 +143,14 @@ class TestGroundEnergy:
         e0 = ed_sector_ground_energy(8, 3, 0.0)
         assert ed_sector_ground_energy(8, 3, 0.4) == pytest.approx(
             e0 - 0.4 * 2, rel=1e-13)
+
+    @pytest.mark.parametrize("n, n_down", [(2, 1), (6, 1), (10, 3), (12, 6)])
+    def test_lanczos_matches_dense_spectrum(self, n, n_down):
+        # (2, 1) has two states and takes the dense route; the rest go
+        # through Lanczos from the fixed start vector
+        lowest = np.linalg.eigvalsh(literal_hamiltonian(n, n_down))[0]
+        assert ed_sector_ground_energy(n, n_down, 0.0) == pytest.approx(
+            lowest, abs=1e-12)
 
 
 class TestValidation:
@@ -108,3 +181,13 @@ class TestValidation:
             validate_bethe(9)
         with pytest.raises(ValueError):
             validate_bethe(16, cap=4000)
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse is imported only when a sector is built
+    src = str(Path(partialfid.__file__).resolve().parents[1])
+    script = (f"import sys; sys.path.insert(0, {src!r}); import partialfid; "
+              "sys.exit('scipy.sparse' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr or "scipy.sparse was loaded"
