@@ -11,12 +11,12 @@ from .analysis import (
     PowerLawFit,
     chi_max_scan,
     fit_power_law,
-    heisenberg_first_crossings,
     min_fidelity,
 )
 from .bethe import (
     BetheRoots,
     ConvergenceError,
+    SolverConfig,
     bethe_quantum_numbers,
     bethe_residual,
     h1_closed_form,
@@ -42,6 +42,7 @@ from .fidelity import (
     bhattacharyya_fidelity,
     crossing_fidelity,
     crossing_susceptibility,
+    fidelity_curve,
     global_sector_overlap,
     single_site_state,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "PowerLawFit",
     "SectorBasis",
     "SectorHamiltonian",
+    "SolverConfig",
     "ValidationReport",
     "bethe_quantum_numbers",
     "bethe_residual",
@@ -75,12 +77,12 @@ __all__ = [
     "crossing_fidelity",
     "crossing_susceptibility",
     "ed_sector_ground_energy",
+    "fidelity_curve",
     "fit_power_law",
     "global_sector_overlap",
     "h1_closed_form",
     "heisenberg_crossings",
     "heisenberg_curve",
-    "heisenberg_first_crossings",
     "lmg_chi_max",
     "lmg_crossings",
     "lmg_curve",

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bethe, lmg
-from .fidelity import crossing_fidelity, crossing_susceptibility
+from .fidelity import _check_size, crossing_fidelity, crossing_susceptibility
 
 MODELS = ("lmg", "heisenberg")
 
@@ -55,8 +55,7 @@ def fit_power_law(points):
                        min(max(r_squared, 0.0), 1.0), len(points))
 
 
-def chi_max_scan(model, sizes, tol=bethe.DEFAULT_TOL,
-                 max_iter=bethe.DEFAULT_MAX_ITER):
+def chi_max_scan(model, sizes, solver=bethe.SolverConfig()):
     """Susceptibility maximum and its field location for each system size.
 
     Both models peak at the first crossing, so only h_0 (and, for the ring,
@@ -73,25 +72,18 @@ def chi_max_scan(model, sizes, tol=bethe.DEFAULT_TOL,
     if not sizes:
         raise ValueError("at least one size required")
     for n in sizes:
-        if n % 2 != 0 or n < floor:
-            raise ValueError(f"sizes for {model} must be even and >= {floor}, got {n}")
+        _check_size(n, floor)
 
     rows = []
     for n in sizes:
         if model == "lmg":
             rows.append((n, 1.0 - 1.0 / n, lmg.lmg_chi_max(n)))
         else:
-            h0, h1 = [c.field for c in heisenberg_first_crossings(
-                n, tol=tol, max_iter=max_iter)]
+            h0, h1 = [c.field for c in bethe.heisenberg_crossings(
+                n, max_index=1, solver=solver)]
             f = crossing_fidelity(n, n // 2, n // 2 - 1)
             rows.append((n, h0, float(crossing_susceptibility(f, h0 - h1))))
     return rows
-
-
-def heisenberg_first_crossings(n, tol=bethe.DEFAULT_TOL,
-                               max_iter=bethe.DEFAULT_MAX_ITER):
-    """The two crossings framing the chi maximum of the ring (j = 0 and 1)."""
-    return bethe.heisenberg_crossings(n, max_index=1, tol=tol, max_iter=max_iter)
 
 
 def min_fidelity(curve):

@@ -28,12 +28,7 @@ import math
 
 import numpy as np
 
-from .fidelity import (
-    CrossingPoint,
-    CurvePoint,
-    crossing_fidelity,
-    crossing_susceptibility,
-)
+from .fidelity import CrossingPoint, _check_size, fidelity_curve
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 50
@@ -41,6 +36,24 @@ DEFAULT_MAX_ITER = 50
 # Largest sector solve a full curve may trigger without the caller raising the
 # cap; chi_max scans need only n_down <= 2 and are exempt.
 DEFAULT_SIZE_CAP = 512
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Newton solver settings: threshold `tol` and step budget `max_iter`.
+
+    `tol` is the threshold on the maximum equation violation for n <= 64;
+    larger rings use tol * n / 64 (see `solve_bethe`).
+    """
+
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
 
 
 class ConvergenceError(RuntimeError):
@@ -99,8 +112,7 @@ def bethe_residual(n, quantum_numbers, rapidities):
 
 
 def _check_sector(n, n_down):
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"ring length must be even and >= 2, got {n}")
+    _check_size(n)
     if not 0 <= n_down <= n // 2:
         raise ValueError(f"n_down must lie in [0, {n // 2}], got {n_down}")
 
@@ -124,13 +136,10 @@ def solve_bethe(n, n_down, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     Raises:
         ConvergenceError: threshold not reached within max_iter steps, or a
             singular Jacobian or non-finite step.
-        ValueError: invalid sector or solver parameters.
+        ValueError: invalid sector or solver parameters (see `SolverConfig`).
     """
     _check_sector(n, n_down)
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+    SolverConfig(tol, max_iter)
 
     qn = bethe_quantum_numbers(n_down)
     x = np.tan(np.pi * qn / n)
@@ -144,11 +153,7 @@ def solve_bethe(n, n_down, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         f = 2.0 * n * np.arctan(x) - two_pi_qn - 2.0 * np.arctan(d).sum(axis=1)
         residual = float(np.max(np.abs(f)))
         if residual <= threshold:
-            x = np.sort(x)
-            if n_down > 1:
-                # distinct quantum numbers forbid coinciding roots
-                assert np.min(np.diff(x)) > tol, "degenerate rapidities"
-            return BetheRoots(n, n_down, qn, x, residual, iteration)
+            return BetheRoots(n, n_down, qn, np.sort(x), residual, iteration)
         if iteration == max_iter:
             break
         # Jacobian in place of d: 1/(1 + d^2) off the diagonal (1 on it)
@@ -173,18 +178,17 @@ def sector_epsilon(roots):
     return float(np.sum(2.0 / (x * x + 1.0)))
 
 
-def sector_energy(n, n_down, h, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def sector_energy(n, n_down, h, solver=SolverConfig()):
     """Ground-state energy n/4 - (n - 2 n_down) h - epsilon of one sector.
 
     Affine in h with slope -(n - 2 n_down); the rapidities carry no field
     dependence.
     """
-    roots = solve_bethe(n, n_down, tol=tol, max_iter=max_iter)
+    roots = solve_bethe(n, n_down, solver.tol, solver.max_iter)
     return n / 4.0 - (n - 2 * n_down) * h - sector_epsilon(roots)
 
 
-def heisenberg_crossings(n, max_index=None, tol=DEFAULT_TOL,
-                         max_iter=DEFAULT_MAX_ITER):
+def heisenberg_crossings(n, max_index=None, solver=SolverConfig()):
     """Crossing fields h_j = (epsilon(j+1) - epsilon(j))/2, descending in j.
 
     Sector energies are affine in h, so adjacent sectors n_down = j and j+1
@@ -193,13 +197,12 @@ def heisenberg_crossings(n, max_index=None, tol=DEFAULT_TOL,
     chi_max scan needs only j <= 1, i.e. sectors n_down <= 2); the default
     covers all n/2 crossings.
     """
-    if n < 4 or n % 2 != 0:
-        raise ValueError(f"ring length must be even and >= 4, got {n}")
+    _check_size(n, floor=4)
     last = n // 2 - 1 if max_index is None else max_index
     if not 0 <= last <= n // 2 - 1:
         raise ValueError(f"max_index must lie in [0, {n // 2 - 1}], got {max_index}")
     epsilon = [
-        sector_epsilon(solve_bethe(n, k, tol=tol, max_iter=max_iter))
+        sector_epsilon(solve_bethe(n, k, solver.tol, solver.max_iter))
         for k in range(last + 2)
     ]
     return [
@@ -216,14 +219,12 @@ def h1_closed_form(n):
     antisymmetric pair +-tan(pi/(2(n-1))); for large n the gap below h_0 = 1
     approaches pi^2 / (2(n-1)^2).
     """
-    if n < 4 or n % 2 != 0:
-        raise ValueError(f"ring length must be even and >= 4, got {n}")
+    _check_size(n, floor=4)
     t = math.tan(math.pi / (2.0 * (n - 1)))
     return -1.0 + 2.0 / (t * t + 1.0)
 
 
-def heisenberg_curve(n, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-                     size_cap=DEFAULT_SIZE_CAP):
+def heisenberg_curve(n, solver=SolverConfig(), size_cap=DEFAULT_SIZE_CAP):
     """Fidelity/susceptibility curve of the ring, one point per crossing.
 
     The spacing delta_h = h_j - h_{j+1} needs the next crossing, so the last
@@ -237,14 +238,6 @@ def heisenberg_curve(n, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
             f"equations; beyond the cap of {size_cap} spins pass a larger "
             f"size_cap explicitly"
         )
-    crossings = heisenberg_crossings(n, tol=tol, max_iter=max_iter)
-    points = []
-    for j, crossing in enumerate(crossings):
-        f = float(crossing_fidelity(n, crossing.sector_above, crossing.sector_below))
-        if j + 1 < len(crossings):
-            delta_h = crossing.field - crossings[j + 1].field
-            chi = float(crossing_susceptibility(f, delta_h))
-            points.append(CurvePoint(crossing, f, delta_h, chi))
-        else:
-            points.append(CurvePoint(crossing, f))
-    return points
+    crossings = heisenberg_crossings(n, solver=solver)
+    fields = np.array([c.field for c in crossings])
+    return fidelity_curve(n, crossings, (fields[:-1] - fields[1:]).tolist())

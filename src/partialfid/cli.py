@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from . import analysis, bethe, ed, lmg
+from .fidelity import _check_size
 
 CURVE_FIELDS = ("model", "N", "j", "h", "fidelity", "delta_h", "chi")
 SCALING_FIELDS = ("model", "N", "h_at_max", "chi_max", "exponent", "r_squared")
@@ -32,8 +33,7 @@ class RunConfig:
     command: str
     model: str
     sizes: tuple
-    tol: float = bethe.DEFAULT_TOL
-    max_iter: int = bethe.DEFAULT_MAX_ITER
+    solver: bethe.SolverConfig = bethe.SolverConfig()
     format: str = "csv"
     output: str = "-"
 
@@ -44,16 +44,9 @@ class RunConfig:
             raise ConfigError("at least one size required")
         floor = 2 if self.model == "lmg" else 4
         for n in self.sizes:
-            if n % 2 != 0:
-                raise ConfigError(f"sizes must be even, got {n}")
-            if n < floor:
-                raise ConfigError(f"sizes for {self.model} must be >= {floor}")
+            _check_size(n, floor)
         if self.command == "scaling" and len(set(self.sizes)) < 3:
             raise ConfigError("scaling needs at least 3 distinct sizes")
-        if self.tol <= 0.0:
-            raise ConfigError("tol must be positive")
-        if self.max_iter < 0:
-            raise ConfigError("max-iter must be nonnegative")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
 
@@ -62,8 +55,8 @@ class RunConfig:
             "command": self.command,
             "model": self.model,
             "sizes": list(self.sizes),
-            "tol": self.tol,
-            "max_iter": self.max_iter,
+            "tol": self.solver.tol,
+            "max_iter": self.solver.max_iter,
             "format": self.format,
             "output": self.output,
         }
@@ -82,9 +75,14 @@ def _format_value(value):
 def _emit(text, output):
     if output == "-":
         sys.stdout.write(text)
-    else:
-        with open(output, "w", newline="") as handle:
-            handle.write(text)
+        return
+    try:
+        handle = open(output, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write output {output!r}: {exc.strerror}") from None
+    with handle:
+        handle.write(text)
 
 
 def _csv(fields, rows):
@@ -117,8 +115,7 @@ def cmd_curve(config):
         if config.model == "lmg":
             curve = lmg.lmg_curve(n)
         else:
-            curve = bethe.heisenberg_curve(n, tol=config.tol,
-                                           max_iter=config.max_iter)
+            curve = bethe.heisenberg_curve(n, solver=config.solver)
         for point in curve:
             rows.append({
                 "model": config.model,
@@ -138,8 +135,8 @@ def cmd_curve(config):
 
 def cmd_scaling(config):
     """Emit per-size (N, h_at_max, chi_max) rows plus a trailing fit record."""
-    scan = analysis.chi_max_scan(config.model, config.sizes, tol=config.tol,
-                                 max_iter=config.max_iter)
+    scan = analysis.chi_max_scan(config.model, config.sizes,
+                                 solver=config.solver)
     fit = analysis.fit_power_law([(n, chi) for n, _, chi in scan])
     rows = [{
         "model": config.model,
@@ -164,14 +161,15 @@ def cmd_scaling(config):
     return 0
 
 
-def cmd_validate(max_size, tol, max_iter, output):
+def cmd_validate(max_size, solver, output):
     """Run the ED oracle against the Bethe route for every even N up to max_size."""
-    if max_size % 2 != 0 or not 4 <= max_size <= 20:
-        raise ConfigError("max-size must be even and within [4, 20]")
+    _check_size(max_size, floor=4)
+    if max_size > 20:
+        raise ConfigError(f"max-size must be at most 20, got {max_size}")
     rows = []
     all_passed = True
     for n in range(4, max_size + 1, 2):
-        report = ed.validate_bethe(n, solver_tol=tol, max_iter=max_iter)
+        report = ed.validate_bethe(n, solver=solver)
         all_passed = all_passed and report.passed
         for c in report.sectors:
             rows.append({
@@ -236,13 +234,12 @@ def main(argv=None):
         return code if isinstance(code, int) else 2
 
     try:
+        solver = bethe.SolverConfig(args.tol, args.max_iter)
         if args.command == "validate":
-            return cmd_validate(args.max_size, args.tol, args.max_iter,
-                                args.output)
+            return cmd_validate(args.max_size, solver, args.output)
         config = RunConfig(command=args.command, model=args.model,
-                           sizes=_parse_sizes(args.sizes), tol=args.tol,
-                           max_iter=args.max_iter, format=args.format,
-                           output=args.output)
+                           sizes=_parse_sizes(args.sizes), solver=solver,
+                           format=args.format, output=args.output)
         if args.command == "curve":
             return cmd_curve(config)
         return cmd_scaling(config)

@@ -22,6 +22,7 @@ from math import comb
 import numpy as np
 
 from . import bethe
+from .fidelity import _check_size
 
 DEFAULT_DIMENSION_CAP = 200_000  # covers n = 20 at half filling (184,756)
 DEFAULT_VALIDATION_TOL = 1e-8
@@ -49,8 +50,7 @@ class SectorBasis:
 
 
 def _check_sector(n, n_down):
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"ring length must be even and >= 2, got {n}")
+    _check_size(n)
     if n > 62:
         raise ValueError(f"states are 64-bit integers: ring length must be "
                          f"<= 62, got {n}")
@@ -196,16 +196,14 @@ class ValidationReport:
 
 
 def validate_bethe(n, tol=DEFAULT_VALIDATION_TOL, cap=DEFAULT_DIMENSION_CAP,
-                   solver_tol=bethe.DEFAULT_TOL,
-                   max_iter=bethe.DEFAULT_MAX_ITER):
+                   solver=bethe.SolverConfig()):
     """Compare every sector of an n-spin ring against exact diagonalization.
 
     Checks |E_bethe - E_ed| at h = 0 for n_down = 0 ... n/2 and the crossing
     fields recomputed from ED energies against the Bethe route.  Collects all
     comparisons rather than stopping at the first failure.
     """
-    if n < 4 or n % 2 != 0:
-        raise ValueError(f"validation needs an even ring length >= 4, got {n}")
+    _check_size(n, floor=4)
     if comb(n, n // 2) > cap:
         raise ValueError(
             f"half filling of n={n} has dimension {comb(n, n // 2)}, "
@@ -216,8 +214,7 @@ def validate_bethe(n, tol=DEFAULT_VALIDATION_TOL, cap=DEFAULT_DIMENSION_CAP,
     energies_ed = []
     sectors = []
     for n_down in range(n // 2 + 1):
-        e_bethe = bethe.sector_energy(n, n_down, 0.0, tol=solver_tol,
-                                      max_iter=max_iter)
+        e_bethe = bethe.sector_energy(n, n_down, 0.0, solver=solver)
         e_ed = ed_sector_ground_energy(n, n_down, 0.0, cap=cap)
         difference = abs(e_bethe - e_ed)
         energies_bethe.append(e_bethe)
@@ -228,9 +225,7 @@ def validate_bethe(n, tol=DEFAULT_VALIDATION_TOL, cap=DEFAULT_DIMENSION_CAP,
 
     # E(n_down, 0) = n/4 - epsilon(n_down), so the crossing field
     # (epsilon(j+1) - epsilon(j))/2 is half the ED energy drop.
-    crossings_bethe = bethe.heisenberg_crossings(
-        n, tol=solver_tol, max_iter=max_iter
-    )
+    crossings_bethe = bethe.heisenberg_crossings(n, solver=solver)
     crossings = []
     for j in range(n // 2):
         field_ed = 0.5 * (energies_ed[j] - energies_ed[j + 1])

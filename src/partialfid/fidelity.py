@@ -4,13 +4,15 @@ Both models treated by this package have ground states with definite total
 magnetization, so the one-site reduced density matrix is diagonal in the
 sigma^z basis and the Uhlmann fidelity between two of them reduces to the
 Bhattacharyya coefficient of the two probability pairs.  Everything here is
-pure arithmetic shared by the model front ends; the numeric operations accept
-numpy arrays in place of scalars and broadcast elementwise.
+shared by the model front ends, down to the curve builder `fidelity_curve`,
+to which each model supplies only its crossings; the numeric operations
+accept numpy arrays in place of scalars and broadcast elementwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -93,9 +95,10 @@ class CurvePoint:
                 )
 
 
-def _check_size(n):
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"number of spins must be even and >= 2, got {n}")
+def _check_size(n, floor=2):
+    """Reject a system size that is odd or below `floor` spins."""
+    if n < floor or n % 2 != 0:
+        raise ValueError(f"number of spins must be even and >= {floor}, got {n}")
 
 
 def single_site_state(n, m):
@@ -136,6 +139,26 @@ def crossing_susceptibility(fidelity, delta_h):
         raise ValueError(f"delta_h must be positive, got {delta_h}")
     # + 0.0 turns the -0.0 arising at F = 1 into 0.0
     return -2.0 * np.log(fidelity) / (delta_h * delta_h) + 0.0
+
+
+def fidelity_curve(n, crossings, spacings):
+    """Fidelity/susceptibility curve of n spins, one point per crossing.
+
+    The crossing fidelity depends only on n and the two sectors, so every
+    model shares it; a model supplies only its crossings and the spacings
+    delta_h (a sequence of floats, stored in the points as given) from each
+    crossing to the next.  Crossings beyond len(spacings) have no successor
+    and carry no susceptibility.
+    """
+    above = np.array([c.sector_above for c in crossings])
+    fidelity = crossing_fidelity(n, above, above - 1)
+    if len(spacings) > fidelity.size:
+        raise ValueError(
+            f"{len(spacings)} spacings for {fidelity.size} crossings")
+    chi = crossing_susceptibility(fidelity[:len(spacings)],
+                                  np.asarray(spacings, dtype=float))
+    return [CurvePoint(*point) for point in zip_longest(
+        crossings, fidelity.tolist(), spacings, chi.tolist())]
 
 
 def global_sector_overlap(m, m_prime):

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fidelity import (
-    CrossingPoint,
-    CurvePoint,
-    crossing_fidelity,
-    crossing_susceptibility,
-)
+from .fidelity import CrossingPoint, _check_size, fidelity_curve
 
 
 @dataclass(frozen=True)
@@ -31,8 +26,7 @@ class LmgSector:
     m: int
 
     def __post_init__(self):
-        if self.n < 2 or self.n % 2 != 0:
-            raise ValueError(f"number of spins must be even and >= 2, got {self.n}")
+        _check_size(self.n)
         if not 0 <= self.m <= self.n // 2:
             raise ValueError(f"m must lie in [0, {self.n // 2}], got {self.m}")
 
@@ -59,8 +53,7 @@ def lmg_ground_magnetization(n, h):
     right-continuous in h.  Ties are decided against the same float fields
     `lmg_crossings` emits, so the two agree at every crossing.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"number of spins must be even and >= 2, got {n}")
+    _check_size(n)
     if h < 0.0:
         raise ValueError(f"field must be nonnegative, got {h}")
     if h >= 1.0:
@@ -76,8 +69,7 @@ def lmg_ground_magnetization(n, h):
 
 def lmg_crossings(n):
     """All ground-state level crossings, fields h_j = 1 - (2j+1)/n descending."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"number of spins must be even and >= 2, got {n}")
+    _check_size(n)
     return [
         CrossingPoint(j, _crossing_field(n, j), n // 2 - j, n // 2 - j - 1)
         for j in range(n // 2)
@@ -89,8 +81,7 @@ def lmg_fidelity(n, j):
 
     `j` may be an integer array.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"number of spins must be even and >= 2, got {n}")
+    _check_size(n)
     if np.any(np.asarray(j) < 0) or np.any(np.asarray(j) > n // 2 - 1):
         raise ValueError(f"crossing index must lie in [0, {n // 2 - 1}], got {j}")
     j = np.asarray(j, dtype=float)
@@ -101,22 +92,10 @@ def lmg_curve(n):
     """Fidelity/susceptibility curve, one point per crossing, ascending j.
 
     The crossing spacing is uniform, delta_h = 2/n, so every point carries a
-    susceptibility.  The stored fidelity is the closed form; it is checked
-    against the single-site composition route on every call.
+    susceptibility.  The spacing is passed as 2/n itself: differences of the
+    float crossing fields are not bitwise equal to it.
     """
-    crossings = lmg_crossings(n)
-    j = np.arange(n // 2)
-    f_closed = lmg_fidelity(n, j)
-    f_composed = crossing_fidelity(n, n // 2 - j, n // 2 - j - 1)
-    assert np.max(np.abs(f_closed - f_composed) / f_closed) <= 1e-12, (
-        "closed-form and composed fidelities disagree"
-    )
-    delta_h = 2.0 / n
-    chi = crossing_susceptibility(f_closed, delta_h)
-    return [
-        CurvePoint(c, float(f), delta_h, float(x))
-        for c, f, x in zip(crossings, f_closed, chi)
-    ]
+    return fidelity_curve(n, lmg_crossings(n), [2.0 / n] * (n // 2))
 
 
 def lmg_chi_max(n):
@@ -126,6 +105,5 @@ def lmg_chi_max(n):
     maximum; evaluated with log1p so that the n/4 large-n asymptote survives
     cancellation at large n.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"number of spins must be even and >= 2, got {n}")
+    _check_size(n)
     return -(n * n / 4.0) * math.log1p(-1.0 / n)

@@ -7,6 +7,7 @@ import pytest
 
 from partialfid import (
     ConvergenceError,
+    SolverConfig,
     bethe_quantum_numbers,
     bethe_residual,
     h1_closed_form,
@@ -101,6 +102,18 @@ class TestSolver:
             solve_bethe(8, 2, tol=0.0)
         with pytest.raises(ValueError):
             solve_bethe(8, 2, max_iter=-1)
+        for tol in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                solve_bethe(8, 2, tol=tol)
+            with pytest.raises(ValueError):
+                SolverConfig(tol=tol)
+        with pytest.raises(ValueError):
+            SolverConfig(max_iter=-1)
+
+    def test_loose_tolerance_at_half_filling(self):
+        roots = solve_bethe(64, 32, tol=0.05)
+        assert roots.residual <= 0.05
+        assert np.all(np.diff(roots.rapidities) > 0.0)
 
     def test_singular_jacobian_reports_sector(self, monkeypatch):
         def singular(a, b):
@@ -253,3 +266,7 @@ class TestCurve:
             heisenberg_curve(514)
         # explicit cap raise is honored
         assert len(heisenberg_curve(8, size_cap=None)) == 4
+
+    def test_solver_config_reaches_the_solver(self):
+        with pytest.raises(ConvergenceError):
+            heisenberg_curve(12, solver=SolverConfig(max_iter=2))

@@ -80,6 +80,10 @@ class TestCurve:
         document = json.loads(out)
         assert document["config"]["model"] == "lmg"
         assert document["config"]["sizes"] == [4]
+        assert list(document["config"]) == [
+            "command", "model", "sizes", "tol", "max_iter", "format", "output"]
+        assert (document["config"]["tol"], document["config"]["max_iter"]) == \
+            (1e-12, 50)
         assert len(document["rows"]) == 2
         assert document["rows"][0]["fidelity"] == pytest.approx(
             math.sqrt(3.0) / 2.0, rel=1e-15)
@@ -105,6 +109,21 @@ class TestCurve:
         assert code == 1
         assert "n=12" in err and "n_down=" in err and "residual" in err
 
+    def test_loose_tolerance_runs(self, capsys):
+        code, out, _ = run(capsys, "curve", "--model", "heisenberg",
+                           "--sizes", "64", "--tol", "0.05")
+        assert code == 0
+        assert len(parse_csv(out)) == 32
+
+    @pytest.mark.parametrize("target", ["directory", "missing/out.csv"])
+    def test_unwritable_output_is_a_config_error(self, capsys, tmp_path,
+                                                 target):
+        (tmp_path / "directory").mkdir()
+        code, out, err = run(capsys, "curve", "--model", "lmg", "--sizes", "4",
+                             "--output", str(tmp_path / target))
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
     def test_size_cap_is_a_config_error(self, capsys):
         code, _, err = run(capsys, "curve", "--model", "heisenberg",
                            "--sizes", "514")
@@ -120,6 +139,14 @@ class TestCurve:
         ("curve", "--model", "lmg", "--sizes", "4", "--tol", "-1"),
         ("curve", "--model", "unknown", "--sizes", "4"),
         ("curve", "--sizes", "4"),
+        ("curve", "--model", "lmg", "--sizes", "4", "--format", "json",
+         "--tol", "nan"),
+        ("curve", "--model", "heisenberg", "--sizes", "8", "--tol", "inf"),
+        ("scaling", "--model", "lmg", "--sizes", "4,8,16", "--tol", "nan"),
+        ("scaling", "--model", "heisenberg", "--sizes", "8,16,32",
+         "--tol", "inf"),
+        ("validate", "--max-size", "8", "--tol", "nan"),
+        ("validate", "--max-size", "8", "--tol", "inf"),
     ])
     def test_config_errors(self, capsys, argv):
         code, _, _ = run(capsys, *argv)

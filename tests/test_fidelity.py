@@ -12,7 +12,11 @@ from partialfid import (
     bhattacharyya_fidelity,
     crossing_fidelity,
     crossing_susceptibility,
+    fidelity_curve,
     global_sector_overlap,
+    heisenberg_curve,
+    lmg_crossings,
+    lmg_curve,
     lmg_ground_magnetization,
     single_site_state,
 )
@@ -199,3 +203,21 @@ class TestCurvePoint:
             CurvePoint(self._crossing(), 0.0)
         with pytest.raises(ValueError):
             CurvePoint(self._crossing(), 1.0 + 1e-9)
+
+
+class TestFidelityCurve:
+    def test_models_share_the_crossing_fidelity(self):
+        for n in range(4, 41, 2):
+            assert [p.fidelity for p in heisenberg_curve(n)] == \
+                [p.fidelity for p in lmg_curve(n)]
+
+    def test_crossings_beyond_spacings_carry_no_chi(self):
+        curve = fidelity_curve(8, lmg_crossings(8), [0.25, 0.25])
+        assert [p.delta_h for p in curve] == [0.25, 0.25, None, None]
+        assert curve[0].chi == float(crossing_susceptibility(curve[0].fidelity,
+                                                             0.25))
+        assert curve[2].chi is None and curve[3].chi is None
+
+    def test_more_spacings_than_crossings_rejected(self):
+        with pytest.raises(ValueError):
+            fidelity_curve(8, lmg_crossings(8), [0.25] * 5)

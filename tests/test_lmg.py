@@ -122,6 +122,12 @@ class TestCurve:
     def test_uniform_spacing(self):
         assert all(p.delta_h == 2.0 / 100 for p in lmg_curve(100))
 
+    def test_curve_fidelities_match_closed_form(self):
+        for n in (*range(2, 201, 2), 1000, 4096):
+            f = np.array([p.fidelity for p in lmg_curve(n)])
+            closed = lmg_fidelity(n, np.arange(n // 2))
+            assert np.max(np.abs(f - closed) / closed) <= 1e-12
+
     def test_closed_form_equals_composition(self):
         for n in (2, 4, 26, 1000):
             j = np.arange(n // 2)
