@@ -27,18 +27,14 @@ from .bethe import (
     solve_bethe,
 )
 from .ed import (
-    SectorBasis,
     SectorHamiltonian,
     ValidationReport,
     ed_sector_ground_energy,
-    sector_basis,
     sector_hamiltonian,
     validate_bethe,
 )
 from .fidelity import (
-    CrossingPoint,
-    CurvePoint,
-    DiagonalState,
+    Curve,
     bhattacharyya_fidelity,
     crossing_fidelity,
     crossing_susceptibility,
@@ -61,12 +57,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BetheRoots",
     "ConvergenceError",
-    "CrossingPoint",
-    "CurvePoint",
-    "DiagonalState",
+    "Curve",
     "LmgSector",
     "PowerLawFit",
-    "SectorBasis",
     "SectorHamiltonian",
     "SolverConfig",
     "ValidationReport",
@@ -90,7 +83,6 @@ __all__ = [
     "lmg_fidelity",
     "lmg_ground_magnetization",
     "min_fidelity",
-    "sector_basis",
     "sector_energy",
     "sector_epsilon",
     "sector_hamiltonian",

@@ -79,22 +79,17 @@ def chi_max_scan(model, sizes, solver=bethe.SolverConfig()):
         if model == "lmg":
             rows.append((n, 1.0 - 1.0 / n, lmg.lmg_chi_max(n)))
         else:
-            h0, h1 = [c.field for c in bethe.heisenberg_crossings(
-                n, max_index=1, solver=solver)]
+            h0, h1 = bethe.heisenberg_crossings(
+                n, max_index=1, solver=solver).tolist()
             f = crossing_fidelity(n, n // 2, n // 2 - 1)
             rows.append((n, h0, float(crossing_susceptibility(f, h0 - h1))))
     return rows
 
 
 def min_fidelity(curve):
-    """Field and value of the smallest fidelity on a curve, ties toward larger h."""
-    if not curve:
+    """Field and value of the smallest fidelity on a `Curve`, ties toward larger h."""
+    if len(curve) == 0:
         raise ValueError("empty curve")
-    best = curve[0]
-    for point in curve[1:]:
-        if point.fidelity < best.fidelity or (
-            point.fidelity == best.fidelity
-            and point.crossing.field > best.crossing.field
-        ):
-            best = point
-    return best.crossing.field, best.fidelity
+    lowest = np.flatnonzero(curve.fidelity == curve.fidelity.min())
+    best = lowest[np.argmax(curve.h[lowest])]
+    return float(curve.h[best]), float(curve.fidelity[best])

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .fidelity import CrossingPoint, _check_size, fidelity_curve
+from .fidelity import _check_size, fidelity_curve
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 50
@@ -189,11 +189,11 @@ def sector_energy(n, n_down, h, solver=SolverConfig()):
 
 
 def heisenberg_crossings(n, max_index=None, solver=SolverConfig()):
-    """Crossing fields h_j = (epsilon(j+1) - epsilon(j))/2, descending in j.
+    """Crossing fields h_j = (epsilon(j+1) - epsilon(j))/2, a descending array.
 
     Sector energies are affine in h, so adjacent sectors n_down = j and j+1
-    are degenerate exactly where the epsilon difference says; no field grid is
-    involved.  `max_index` limits the solve to crossings j <= max_index (a
+    (magnetizations n/2 - j and n/2 - j - 1) are degenerate exactly where the
+    epsilon difference says; no field grid is involved.  `max_index` limits the solve to crossings j <= max_index (a
     chi_max scan needs only j <= 1, i.e. sectors n_down <= 2); the default
     covers all n/2 crossings.
     """
@@ -201,15 +201,11 @@ def heisenberg_crossings(n, max_index=None, solver=SolverConfig()):
     last = n // 2 - 1 if max_index is None else max_index
     if not 0 <= last <= n // 2 - 1:
         raise ValueError(f"max_index must lie in [0, {n // 2 - 1}], got {max_index}")
-    epsilon = [
+    epsilon = np.array([
         sector_epsilon(solve_bethe(n, k, solver.tol, solver.max_iter))
         for k in range(last + 2)
-    ]
-    return [
-        CrossingPoint(j, 0.5 * (epsilon[j + 1] - epsilon[j]),
-                      n // 2 - j, n // 2 - j - 1)
-        for j in range(last + 1)
-    ]
+    ])
+    return 0.5 * (epsilon[1:] - epsilon[:-1])
 
 
 def h1_closed_form(n):
@@ -225,11 +221,11 @@ def h1_closed_form(n):
 
 
 def heisenberg_curve(n, solver=SolverConfig(), size_cap=DEFAULT_SIZE_CAP):
-    """Fidelity/susceptibility curve of the ring, one point per crossing.
+    """Fidelity/susceptibility `Curve` of the ring, one row per crossing.
 
     The spacing delta_h = h_j - h_{j+1} needs the next crossing, so the last
-    point (j = n/2 - 1) carries no susceptibility.  The maximum of chi sits at
-    j = 0.  Full curves solve every sector up to half filling and are capped
+    row (j = n/2 - 1) has no `delta_h` or `chi` entry.  The maximum of chi
+    sits at j = 0.  Full curves solve every sector up to half filling and are capped
     at `size_cap` spins; raise the cap explicitly for bigger rings.
     """
     if size_cap is not None and n > size_cap:
@@ -238,6 +234,5 @@ def heisenberg_curve(n, solver=SolverConfig(), size_cap=DEFAULT_SIZE_CAP):
             f"equations; beyond the cap of {size_cap} spins pass a larger "
             f"size_cap explicitly"
         )
-    crossings = heisenberg_crossings(n, solver=solver)
-    fields = np.array([c.field for c in crossings])
-    return fidelity_curve(n, crossings, (fields[:-1] - fields[1:]).tolist())
+    fields = heisenberg_crossings(n, solver=solver)
+    return fidelity_curve(n, fields, fields[:-1] - fields[1:])

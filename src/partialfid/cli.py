@@ -9,9 +9,12 @@ output.  Exit codes: 0 success, 1 numerical failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from . import analysis, bethe, ed, lmg
 from .fidelity import _check_size
@@ -72,6 +75,26 @@ def _format_value(value):
     return str(value)
 
 
+def _check_output(output):
+    """Reject an `--output` path that cannot be opened for writing.
+
+    Runs before any computation, so a bad path fails at once; `_emit` still
+    reports an open that fails later.
+    """
+    if output == "-":
+        return
+    parent = os.path.dirname(output) or "."
+    if os.path.isdir(output):
+        reason = errno.EISDIR
+    elif not os.path.isdir(parent):
+        reason = errno.ENOENT
+    elif not os.access(output if os.path.exists(output) else parent, os.W_OK):
+        reason = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write output {output!r}: {os.strerror(reason)}")
+
+
 def _emit(text, output):
     if output == "-":
         sys.stdout.write(text)
@@ -108,28 +131,34 @@ def _parse_sizes(text):
     return sizes
 
 
+def _curve_cells(curve):
+    """(j, h, fidelity, delta_h, chi) of each crossing; None past the last spacing."""
+    return zip_longest(curve.j.tolist(), curve.h.tolist(),
+                       curve.fidelity.tolist(), curve.delta_h.tolist(),
+                       curve.chi.tolist())
+
+
 def cmd_curve(config):
-    """Emit (model, N, j, h, fidelity, delta_h, chi) rows per crossing per size."""
-    rows = []
-    for n in config.sizes:
-        if config.model == "lmg":
-            curve = lmg.lmg_curve(n)
-        else:
-            curve = bethe.heisenberg_curve(n, solver=config.solver)
-        for point in curve:
-            rows.append({
-                "model": config.model,
-                "N": n,
-                "j": point.crossing.index,
-                "h": point.crossing.field,
-                "fidelity": point.fidelity,
-                "delta_h": point.delta_h,
-                "chi": point.chi,
-            })
-    if config.format == "csv":
-        _emit(_csv(CURVE_FIELDS, rows), config.output)
-    else:
+    """Emit (model, N, j, h, fidelity, delta_h, chi) rows per crossing per size.
+
+    Rows are written straight from each curve's columns, with no per-row
+    object on the CSV path.
+    """
+    curves = [lmg.lmg_curve(n) if config.model == "lmg"
+              else bethe.heisenberg_curve(n, solver=config.solver)
+              for n in config.sizes]
+    if config.format == "json":
+        rows = [dict(zip(CURVE_FIELDS, (config.model, curve.n, *cells)))
+                for curve in curves for cells in _curve_cells(curve)]
         _emit(_json(config.echo(), rows), config.output)
+        return 0
+    lines = [",".join(CURVE_FIELDS)]
+    for curve in curves:
+        head = f"{config.model},{curve.n},"
+        lines += [f"{head}{j},{h:.17g},{f:.17g},"
+                  + ("," if d is None else f"{d:.17g},{c:.17g}")
+                  for j, h, f, d, c in _curve_cells(curve)]
+    _emit("\n".join(lines) + "\n", config.output)
     return 0
 
 
@@ -234,6 +263,7 @@ def main(argv=None):
         return code if isinstance(code, int) else 2
 
     try:
+        _check_output(args.output)
         solver = bethe.SolverConfig(args.tol, args.max_iter)
         if args.command == "validate":
             return cmd_validate(args.max_size, solver, args.output)

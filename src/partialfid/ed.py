@@ -30,43 +30,28 @@ DEFAULT_VALIDATION_TOL = 1e-8
 _NO_STATES = np.zeros(0, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class SectorBasis:
-    """Bit-string basis of the (n, n_down) sector, ascending by integer value."""
-
-    n: int
-    n_down: int
-    states: tuple
-
-    def __post_init__(self):
-        if len(self.states) != self.dimension:
-            raise ValueError(
-                f"expected {self.dimension} states, got {len(self.states)}"
-            )
-
-    @property
-    def dimension(self):
-        return comb(self.n, self.n_down)
-
-
-def _check_sector(n, n_down):
-    _check_size(n)
-    if n > 62:
-        raise ValueError(f"states are 64-bit integers: ring length must be "
-                         f"<= 62, got {n}")
-    if not 0 <= n_down <= n:
-        raise ValueError(f"n_down must lie in [0, {n}], got {n_down}")
-
-
-def _sector_states(n, n_down):
+def _sector_states(n, n_down, cap=DEFAULT_DIMENSION_CAP):
     """Ascending n-bit integers with exactly n_down set bits (int64 array).
 
     Adds one bit at a time as the new highest bit: the m+1-bit integers with
     k set bits are the m-bit ones with k set bits, followed by 2^m plus the
     m-bit ones with k - 1 set bits, so every list stays ascending.  Only the
     counts k that can still reach n_down are kept, so the work is a few
-    times the sector dimension, never 2^n.
+    times the sector dimension, never 2^n.  Sectors above `cap` states are
+    refused before any is built.
     """
+    _check_size(n)
+    if n > 62:
+        raise ValueError(f"states are 64-bit integers: ring length must be "
+                         f"<= 62, got {n}")
+    if not 0 <= n_down <= n:
+        raise ValueError(f"n_down must lie in [0, {n}], got {n_down}")
+    dim = comb(n, n_down)
+    if dim > cap:
+        raise ValueError(
+            f"sector (n={n}, n_down={n_down}) has dimension {dim}, "
+            f"above the cap of {cap}"
+        )
     levels = {0: np.zeros(1, dtype=np.int64)}
     for m in range(n):
         keep = range(max(0, n_down - (n - m - 1)), min(n_down, m + 1) + 1)
@@ -76,17 +61,11 @@ def _sector_states(n, n_down):
     return levels[n_down]
 
 
-def sector_basis(n, n_down):
-    """Enumerate all n-bit configurations with exactly n_down set bits."""
-    _check_sector(n, n_down)
-    return SectorBasis(n, n_down, tuple(_sector_states(n, n_down).tolist()))
-
-
 @dataclass(frozen=True)
 class SectorHamiltonian:
     """Exchange part of one sector as a scipy CSR matrix (`matrix`).
 
-    Rows and columns follow the ascending basis of `sector_basis`.
+    Rows and columns follow the ascending basis of `_sector_states`.
     """
 
     matrix: object
@@ -107,16 +86,10 @@ def sector_hamiltonian(n, n_down, cap=DEFAULT_DIMENSION_CAP):
     binary search.  Returns a `SectorHamiltonian` holding a symmetric CSR
     matrix.
     """
-    _check_sector(n, n_down)
-    dim = comb(n, n_down)
-    if dim > cap:
-        raise ValueError(
-            f"sector (n={n}, n_down={n_down}) has dimension {dim}, "
-            f"above the cap of {cap}"
-        )
+    states = _sector_states(n, n_down, cap)
+    dim = states.size
     from scipy.sparse import csr_array
 
-    states = _sector_states(n, n_down)
     diagonal = np.full(dim, 0.25 * n)
     rows, cols = [np.arange(dim)], [np.arange(dim)]
     for i in range(n):
@@ -225,11 +198,11 @@ def validate_bethe(n, tol=DEFAULT_VALIDATION_TOL, cap=DEFAULT_DIMENSION_CAP,
 
     # E(n_down, 0) = n/4 - epsilon(n_down), so the crossing field
     # (epsilon(j+1) - epsilon(j))/2 is half the ED energy drop.
-    crossings_bethe = bethe.heisenberg_crossings(n, solver=solver)
+    crossings_bethe = bethe.heisenberg_crossings(n, solver=solver).tolist()
     crossings = []
     for j in range(n // 2):
         field_ed = 0.5 * (energies_ed[j] - energies_ed[j + 1])
-        field_bethe = crossings_bethe[j].field
+        field_bethe = crossings_bethe[j]
         difference = abs(field_bethe - field_ed)
         crossings.append(CrossingComparison(
             n, j, field_bethe, field_ed, difference, difference < tol

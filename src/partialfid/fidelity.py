@@ -1,98 +1,24 @@
-"""Single-site diagonal states and the crossing fidelity/susceptibility formulas.
+"""Single-site fidelity and susceptibility at level crossings, and their curve.
 
 Both models treated by this package have ground states with definite total
 magnetization, so the one-site reduced density matrix is diagonal in the
-sigma^z basis and the Uhlmann fidelity between two of them reduces to the
-Bhattacharyya coefficient of the two probability pairs.  Everything here is
-shared by the model front ends, down to the curve builder `fidelity_curve`,
-to which each model supplies only its crossings; the numeric operations
-accept numpy arrays in place of scalars and broadcast elementwise.
+sigma^z basis: a probability pair (p_up, p_down).  The Uhlmann fidelity
+between two of them reduces to the Bhattacharyya coefficient of the two
+pairs.  Everything here is shared by the model front ends, down to the curve
+builder `fidelity_curve`, to which each model supplies only its crossing
+fields and spacings; the numeric operations accept numpy arrays in place of
+scalars and broadcast elementwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import zip_longest
+from dataclasses import dataclass, field
 
 import numpy as np
 
 # Probability pairs whose sum drifted from one by at most this much are
-# renormalized at construction; larger drift is rejected as corrupt input.
+# renormalized; larger drift is rejected as corrupt input.
 NORMALIZATION_DRIFT = 1e-12
-
-
-@dataclass(frozen=True)
-class DiagonalState:
-    """Probability pair (p_up, p_down) of a single-site diagonal density matrix."""
-
-    p_up: float
-    p_down: float
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.p_up) < 0.0) or np.any(np.asarray(self.p_down) < 0.0):
-            raise ValueError("probabilities must be nonnegative")
-        total = self.p_up + self.p_down
-        if np.any(np.abs(np.asarray(total) - 1.0) > NORMALIZATION_DRIFT):
-            raise ValueError(
-                f"p_up + p_down = {total!r} differs from 1 by more than "
-                f"{NORMALIZATION_DRIFT}"
-            )
-        object.__setattr__(self, "p_up", self.p_up / total)
-        object.__setattr__(self, "p_down", self.p_down / total)
-
-    def sigma_z(self):
-        """On-site average magnetization <sigma^z> = p_up - p_down."""
-        return self.p_up - self.p_down
-
-
-@dataclass(frozen=True)
-class CrossingPoint:
-    """One ground-state level crossing.
-
-    The magnetization sector `sector_above` is the ground state just above
-    `field`, `sector_below` just below; adjacent sectors differ by one unit.
-    """
-
-    index: int
-    field: float
-    sector_above: int
-    sector_below: int
-
-    def __post_init__(self):
-        if self.sector_above != self.sector_below + 1:
-            raise ValueError(
-                f"sectors at a crossing must be adjacent, got "
-                f"{self.sector_above} above and {self.sector_below} below"
-            )
-        if not self.field > 0.0:
-            raise ValueError(f"crossing field must be positive, got {self.field}")
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """Fidelity at one crossing, with the susceptibility where a spacing exists.
-
-    `delta_h` is the distance to the next crossing; the last crossing of a
-    chain has no successor, so both `delta_h` and `chi` are absent there.
-    """
-
-    crossing: CrossingPoint
-    fidelity: float
-    delta_h: float | None = None
-    chi: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.fidelity <= 1.0:
-            raise ValueError(f"fidelity must lie in (0, 1], got {self.fidelity}")
-        if (self.delta_h is None) != (self.chi is None):
-            raise ValueError("delta_h and chi must be present or absent together")
-        if self.delta_h is not None:
-            expected = crossing_susceptibility(self.fidelity, self.delta_h)
-            if abs(self.chi - expected) > 1e-12 * max(1.0, abs(expected)):
-                raise ValueError(
-                    f"chi = {self.chi} inconsistent with fidelity and delta_h "
-                    f"(recomputes to {expected})"
-                )
 
 
 def _check_size(n, floor=2):
@@ -102,25 +28,41 @@ def _check_size(n, floor=2):
 
 
 def single_site_state(n, m):
-    """Single-site state of the magnetization-m sector of n spins.
+    """Probability pair (p_up, p_down) of one site in the magnetization-m sector.
 
-    The on-site average <sigma^z> is 2m/n, so the probabilities are
+    The on-site average <sigma^z> is 2m/n, so the pair is
     ((1 + 2m/n)/2, (1 - 2m/n)/2).  `m` may be an integer array.
     """
     _check_size(n)
     if np.any(np.abs(np.asarray(m)) > n // 2):
         raise ValueError(f"|m| must not exceed n/2 = {n // 2}, got m = {m}")
     sz = 2.0 * m / n
-    return DiagonalState((1.0 + sz) / 2.0, (1.0 - sz) / 2.0)
+    return (1.0 + sz) / 2.0, (1.0 - sz) / 2.0
+
+
+def _normalized(pair):
+    """Check a probability pair and divide it by its sum."""
+    p_up, p_down = pair
+    if np.any(np.asarray(p_up) < 0.0) or np.any(np.asarray(p_down) < 0.0):
+        raise ValueError("probabilities must be nonnegative")
+    total = p_up + p_down
+    if np.any(np.abs(np.asarray(total) - 1.0) > NORMALIZATION_DRIFT):
+        raise ValueError(
+            f"p_up + p_down = {total!r} differs from 1 by more than "
+            f"{NORMALIZATION_DRIFT}"
+        )
+    return p_up / total, p_down / total
 
 
 def bhattacharyya_fidelity(p, q):
-    """Overlap sqrt(p_up q_up) + sqrt(p_down q_down) of two diagonal states.
+    """Overlap sqrt(p_up q_up) + sqrt(p_down q_down) of two probability pairs.
 
-    Symmetric in its arguments, bounded by 1 (Cauchy-Schwarz), and equal to 1
-    exactly when the states coincide.
+    Each pair is checked and renormalized first.  Symmetric in its arguments,
+    bounded by 1 (Cauchy-Schwarz), and equal to 1 exactly when the pairs
+    coincide.
     """
-    f = np.sqrt(p.p_up * q.p_up) + np.sqrt(p.p_down * q.p_down)
+    (p_up, p_down), (q_up, q_down) = _normalized(p), _normalized(q)
+    f = np.sqrt(p_up * q_up) + np.sqrt(p_down * q_down)
     return np.minimum(f, 1.0)  # guard rounding at p = q against the bound
 
 
@@ -141,24 +83,61 @@ def crossing_susceptibility(fidelity, delta_h):
     return -2.0 * np.log(fidelity) / (delta_h * delta_h) + 0.0
 
 
-def fidelity_curve(n, crossings, spacings):
-    """Fidelity/susceptibility curve of n spins, one point per crossing.
+@dataclass(frozen=True, eq=False)
+class Curve:
+    """Fidelity/susceptibility curve of n spins as numpy columns, one row per crossing.
 
-    The crossing fidelity depends only on n and the two sectors, so every
-    model shares it; a model supplies only its crossings and the spacings
-    delta_h (a sequence of floats, stored in the points as given) from each
-    crossing to the next.  Crossings beyond len(spacings) have no successor
-    and carry no susceptibility.
+    Row j is the crossing at field `h[j]` between sector `sector_above[j]`
+    = n/2 - j (the ground state just above the field) and the one below it,
+    with fidelity `fidelity[j]`.  `delta_h[j]` is the distance to the next
+    crossing; the last crossing of a chain may have no successor, so
+    `delta_h` may be shorter than the other columns.  `chi` is computed from
+    `fidelity` and `delta_h` at construction and has the length of `delta_h`.
     """
-    above = np.array([c.sector_above for c in crossings])
-    fidelity = crossing_fidelity(n, above, above - 1)
-    if len(spacings) > fidelity.size:
-        raise ValueError(
-            f"{len(spacings)} spacings for {fidelity.size} crossings")
-    chi = crossing_susceptibility(fidelity[:len(spacings)],
-                                  np.asarray(spacings, dtype=float))
-    return [CurvePoint(*point) for point in zip_longest(
-        crossings, fidelity.tolist(), spacings, chi.tolist())]
+
+    n: int
+    j: np.ndarray
+    h: np.ndarray
+    sector_above: np.ndarray
+    fidelity: np.ndarray
+    delta_h: np.ndarray
+    chi: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        size = len(self.j)
+        if not (len(self.h) == len(self.sector_above) == len(self.fidelity)
+                == size >= len(self.delta_h)):
+            raise ValueError(
+                "columns j, h, sector_above and fidelity must have equal "
+                "lengths, with no more spacings than crossings")
+        if not np.array_equal(self.sector_above, self.n // 2 - self.j):
+            raise ValueError("sectors at a crossing must be adjacent: "
+                             "sector_above must equal n/2 - j")
+        if not np.all(self.h > 0.0):
+            raise ValueError(f"crossing fields must be positive, got {self.h}")
+        if not np.all((self.fidelity > 0.0) & (self.fidelity <= 1.0)):
+            raise ValueError(f"fidelity must lie in (0, 1], got {self.fidelity}")
+        object.__setattr__(self, "chi", crossing_susceptibility(
+            self.fidelity[:len(self.delta_h)], self.delta_h))
+
+    def __len__(self):
+        return len(self.j)
+
+
+def fidelity_curve(n, fields, spacings):
+    """Fidelity/susceptibility curve of n spins, one row per crossing.
+
+    Crossing j, at `fields[j]` (ascending j), joins sectors n/2 - j and
+    n/2 - j - 1, so the crossing fidelity depends only on n and j and every
+    model shares it; a model supplies only its fields and the spacings
+    delta_h (stored as given) from each crossing to the next.  Crossings
+    beyond len(spacings) have no successor and carry no susceptibility.
+    """
+    h = np.asarray(fields, dtype=float)
+    j = np.arange(h.size)
+    above = n // 2 - j
+    return Curve(n, j, h, above, crossing_fidelity(n, above, above - 1),
+                 np.asarray(spacings, dtype=float))
 
 
 def global_sector_overlap(m, m_prime):

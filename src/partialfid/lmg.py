@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fidelity import CrossingPoint, _check_size, fidelity_curve
+from .fidelity import _check_size, fidelity_curve
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,13 @@ def lmg_ground_magnetization(n, h):
 
 
 def lmg_crossings(n):
-    """All ground-state level crossings, fields h_j = 1 - (2j+1)/n descending."""
+    """Fields h_j = 1 - (2j+1)/n of all ground-state level crossings, descending.
+
+    Crossing j joins sectors n/2 - j (above) and n/2 - j - 1 (below).  The
+    array arithmetic is bitwise equal to `_crossing_field` at every j.
+    """
     _check_size(n)
-    return [
-        CrossingPoint(j, _crossing_field(n, j), n // 2 - j, n // 2 - j - 1)
-        for j in range(n // 2)
-    ]
+    return 1.0 - (2 * np.arange(n // 2) + 1) / n
 
 
 def lmg_fidelity(n, j):
@@ -89,13 +90,13 @@ def lmg_fidelity(n, j):
 
 
 def lmg_curve(n):
-    """Fidelity/susceptibility curve, one point per crossing, ascending j.
+    """Fidelity/susceptibility `Curve`, one row per crossing, ascending j.
 
-    The crossing spacing is uniform, delta_h = 2/n, so every point carries a
+    The crossing spacing is uniform, delta_h = 2/n, so every row carries a
     susceptibility.  The spacing is passed as 2/n itself: differences of the
     float crossing fields are not bitwise equal to it.
     """
-    return fidelity_curve(n, lmg_crossings(n), [2.0 / n] * (n // 2))
+    return fidelity_curve(n, lmg_crossings(n), np.full(n // 2, 2.0 / n))
 
 
 def lmg_chi_max(n):

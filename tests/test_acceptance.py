@@ -15,7 +15,6 @@ from partialfid import (
     chi_max_scan,
     crossing_fidelity,
     crossing_susceptibility,
-    DiagonalState,
     ed_sector_ground_energy,
     fit_power_law,
     h1_closed_form,
@@ -87,7 +86,7 @@ def test_criterion_3_lmg_chi_max_asymptote_and_fit():
 def test_criterion_4_heisenberg_closed_forms():
     def body():
         for n in (8, 16, 32, 64):
-            h0, h1 = [c.field for c in heisenberg_crossings(n, max_index=1)]
+            h0, h1 = heisenberg_crossings(n, max_index=1).tolist()
             assert abs(h0 - 1.0) <= 1e-10
             assert abs(h1 - h1_closed_form(n)) <= 1e-10
             if n >= 32:
@@ -146,35 +145,35 @@ def test_criterion_6_bethe_vs_ed_oracle():
 def test_criterion_7_heisenberg_curve_vs_ed():
     def body():
         n = 12
-        bethe_points = heisenberg_curve(n)
+        curve = heisenberg_curve(n)
         # sector energies at h = 0 give epsilon(k) = N/4 - E(k), hence the
         # crossing fields, with no Bethe ingredient
         eps_ed = [n / 4.0 - ed_sector_ground_energy(n, k, 0.0)
                   for k in range(n // 2 + 1)]
         fields_ed = [0.5 * (eps_ed[j + 1] - eps_ed[j]) for j in range(n // 2)]
-        assert len(bethe_points) == len(fields_ed)
-        for j, point in enumerate(bethe_points):
-            assert abs(point.crossing.field - fields_ed[j]) < 1e-8
+        assert len(curve) == len(fields_ed)
+        for j in range(len(curve)):
+            assert abs(curve.h[j] - fields_ed[j]) < 1e-8
             f_ed = float(crossing_fidelity(n, n // 2 - j, n // 2 - j - 1))
-            assert abs(point.fidelity - f_ed) < 1e-8
+            assert abs(curve.fidelity[j] - f_ed) < 1e-8
             if j + 1 < len(fields_ed):
                 gap_ed = fields_ed[j] - fields_ed[j + 1]
                 chi_ed = float(crossing_susceptibility(f_ed, gap_ed))
-                assert abs(point.delta_h - gap_ed) < 1e-8
-                assert abs(point.chi - chi_ed) < 1e-8
+                assert abs(curve.delta_h[j] - gap_ed) < 1e-8
+                assert abs(curve.chi[j] - chi_ed) < 1e-8
             else:
-                assert point.delta_h is None and point.chi is None
+                assert len(curve.delta_h) == len(curve.chi) == j
 
     run_criterion(7, "Heisenberg N=12 curve, Bethe vs ED, pointwise", 30.0, body)
 
 
 def test_criterion_8_property_suite():
     def body():
-        # Bhattacharyya properties on 10^4 random diagonal state pairs
+        # Bhattacharyya properties on 10^4 random probability pairs
         rng = np.random.default_rng(987654321)
         a = rng.uniform(0.0, 1.0, size=10_000)
         b = rng.uniform(0.0, 1.0, size=10_000)
-        p, q = DiagonalState(a, 1.0 - a), DiagonalState(b, 1.0 - b)
+        p, q = (a, 1.0 - a), (b, 1.0 - b)
         f_pq = bhattacharyya_fidelity(p, q)
         assert np.array_equal(f_pq, bhattacharyya_fidelity(q, p))
         assert np.all((f_pq >= 0.0) & (f_pq <= 1.0))

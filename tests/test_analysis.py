@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from partialfid import (
+    Curve,
     chi_max_scan,
+    fidelity_curve,
     fit_power_law,
     heisenberg_curve,
     lmg_chi_max,
@@ -73,10 +76,10 @@ class TestChiMaxScan:
     def test_scan_matches_full_curve_maximum(self):
         for model, build in (("lmg", lmg_curve), ("heisenberg", heisenberg_curve)):
             ((_, h, chi),) = chi_max_scan(model, (12,))
-            with_chi = [p for p in build(12) if p.chi is not None]
-            best = max(with_chi, key=lambda p: p.chi)
-            assert h == pytest.approx(best.crossing.field, rel=1e-12)
-            assert chi == pytest.approx(best.chi, rel=1e-10)
+            curve = build(12)
+            best = np.argmax(curve.chi)
+            assert h == pytest.approx(curve.h[best], rel=1e-12)
+            assert chi == pytest.approx(curve.chi[best], rel=1e-10)
 
     def test_sizes_sorted_and_deduplicated(self):
         rows = chi_max_scan("lmg", (8, 4, 8))
@@ -114,15 +117,17 @@ class TestMinFidelity:
             for n in (12, 16, 20):
                 curve = build(n)
                 h, _ = min_fidelity(curve)
-                assert h == curve[0].crossing.field
+                assert h == curve.h[0]
 
     def test_tie_takes_larger_field(self):
-        from partialfid import CrossingPoint, CurvePoint
-        a = CurvePoint(CrossingPoint(0, 0.9, 3, 2), 0.5)
-        b = CurvePoint(CrossingPoint(1, 0.4, 2, 1), 0.5)
-        assert min_fidelity([b, a]) == (0.9, 0.5)
-        assert min_fidelity([a, b]) == (0.9, 0.5)
+        def curve(j, h):
+            j = np.array(j)
+            return Curve(6, j, np.array(h), 3 - j, np.array([0.5, 0.5]),
+                         np.array([]))
+
+        assert min_fidelity(curve([1, 0], [0.4, 0.9])) == (0.9, 0.5)
+        assert min_fidelity(curve([0, 1], [0.9, 0.4])) == (0.9, 0.5)
 
     def test_empty_curve(self):
         with pytest.raises(ValueError):
-            min_fidelity([])
+            min_fidelity(fidelity_curve(4, [], []))

@@ -181,30 +181,31 @@ class TestSectorEnergy:
 class TestCrossings:
     def test_first_field_is_saturation(self):
         for n in (4, 8, 16, 64):
-            assert heisenberg_crossings(n, max_index=0)[0].field == \
+            assert heisenberg_crossings(n, max_index=0)[0] == \
                 pytest.approx(1.0, abs=1e-10)
 
     def test_second_field_closed_form(self):
         crossings = heisenberg_crossings(8, max_index=1)
-        assert crossings[1].field == pytest.approx(-1.0 + 2.0 / (
+        assert crossings[1] == pytest.approx(-1.0 + 2.0 / (
             math.tan(math.pi / 14.0) ** 2 + 1.0), abs=1e-10)
 
     def test_fields_strictly_decreasing_and_positive(self):
         for n in (8, 12, 20):
-            fields = [c.field for c in heisenberg_crossings(n)]
+            fields = heisenberg_crossings(n).tolist()
             assert len(fields) == n // 2
             assert all(a > b for a, b in zip(fields, fields[1:]))
             assert fields[-1] > 0.0
 
     def test_sector_labels(self):
-        crossings = heisenberg_crossings(12)
-        assert [c.sector_above for c in crossings] == [6, 5, 4, 3, 2, 1]
-        assert all(c.sector_below == c.sector_above - 1 for c in crossings)
+        curve = heisenberg_curve(12)
+        assert len(heisenberg_crossings(12)) == 6
+        assert curve.sector_above.tolist() == [6, 5, 4, 3, 2, 1]
+        assert curve.j.tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_max_index_prefix_consistent(self):
         full = heisenberg_crossings(10)
         short = heisenberg_crossings(10, max_index=1)
-        assert [c.field for c in short] == [c.field for c in full[:2]]
+        assert short.tolist() == full[:2].tolist()
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -227,7 +228,7 @@ class TestH1ClosedForm:
 
     def test_matches_generic_solver(self):
         for n in (8, 16, 32, 64):
-            solver_h1 = heisenberg_crossings(n, max_index=1)[1].field
+            solver_h1 = heisenberg_crossings(n, max_index=1)[1]
             assert abs(solver_h1 - h1_closed_form(n)) < 1e-10
 
     def test_gap_approaches_large_n_form_from_below(self):
@@ -242,24 +243,24 @@ class TestH1ClosedForm:
 
 class TestCurve:
     def test_eight_spin_first_point(self):
-        point = heisenberg_curve(8)[0]
-        assert point.fidelity == pytest.approx(math.sqrt(7.0 / 8.0), abs=1e-13)
-        assert point.delta_h == pytest.approx(2.0 * math.sin(math.pi / 14.0) ** 2,
-                                              abs=1e-11)
-        assert point.chi == pytest.approx(13.61569739358725, rel=1e-9)
+        curve = heisenberg_curve(8)
+        assert curve.fidelity[0] == pytest.approx(math.sqrt(7.0 / 8.0),
+                                                  abs=1e-13)
+        assert curve.delta_h[0] == pytest.approx(
+            2.0 * math.sin(math.pi / 14.0) ** 2, abs=1e-11)
+        assert curve.chi[0] == pytest.approx(13.61569739358725, rel=1e-9)
 
     def test_last_point_has_no_spacing(self):
         curve = heisenberg_curve(12)
-        assert curve[-1].delta_h is None and curve[-1].chi is None
-        assert all(p.delta_h is not None for p in curve[:-1])
+        assert len(curve) == 6
+        assert len(curve.delta_h) == len(curve.chi) == 5
 
     def test_all_fidelities_below_one(self):
-        assert all(p.fidelity < 1.0 for p in heisenberg_curve(16))
+        assert np.all(heisenberg_curve(16).fidelity < 1.0)
 
     def test_chi_maximum_at_first_crossing(self):
         for n in (8, 12, 24):
-            chis = [p.chi for p in heisenberg_curve(n)[:-1]]
-            assert np.argmax(chis) == 0
+            assert np.argmax(heisenberg_curve(n).chi) == 0
 
     def test_size_cap(self):
         with pytest.raises(ValueError):

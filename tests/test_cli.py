@@ -4,9 +4,12 @@ import csv
 import io
 import json
 import math
+from itertools import zip_longest
 
+import numpy as np
 import pytest
 
+from partialfid import bethe, sector_epsilon, solve_bethe
 from partialfid.cli import main
 
 
@@ -18,6 +21,59 @@ def run(capsys, *argv):
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def reference_curve_rows(model, n):
+    """One row dict per crossing, computed crossing by crossing.
+
+    Fields are Python floats, one per crossing; the fidelity is the overlap
+    of the two probability pairs, each divided by its sum; chi is
+    -2 ln F / delta_h^2, and None past the last spacing.
+    """
+    if model == "lmg":
+        fields = [1.0 - (2 * j + 1) / n for j in range(n // 2)]
+        spacings = [2.0 / n] * (n // 2)
+    else:
+        eps = [sector_epsilon(solve_bethe(n, k)) for k in range(n // 2 + 1)]
+        fields = [0.5 * (eps[j + 1] - eps[j]) for j in range(n // 2)]
+        spacings = (np.array(fields[:-1]) - np.array(fields[1:])).tolist()
+
+    def pair(m):
+        sz = 2.0 * m / n
+        up, down = (1.0 + sz) / 2.0, (1.0 - sz) / 2.0
+        return up / (up + down), down / (up + down)
+
+    above = n // 2 - np.arange(n // 2)
+    (p_up, p_down), (q_up, q_down) = pair(above), pair(above - 1)
+    fidelity = np.minimum(np.sqrt(p_up * q_up) + np.sqrt(p_down * q_down), 1.0)
+    delta_h = np.array(spacings)
+    chi = -2.0 * np.log(fidelity[:len(spacings)]) / (delta_h * delta_h) + 0.0
+    return [{"model": model, "N": n, "j": j, "h": h, "fidelity": f,
+             "delta_h": d, "chi": c}
+            for j, (h, f, d, c) in enumerate(zip_longest(
+                fields, fidelity.tolist(), spacings, chi.tolist()))]
+
+
+def reference_curve_output(model, sizes, output_format):
+    """`curve` output written row dict by row dict, cell by cell."""
+    rows = [row for n in sizes for row in reference_curve_rows(model, n)]
+    if output_format == "json":
+        config = {"command": "curve", "model": model, "sizes": list(sizes),
+                  "tol": 1e-12, "max_iter": 50, "format": "json",
+                  "output": "-"}
+        return json.dumps({"config": config, "rows": rows}, indent=2) + "\n"
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return f"{value:.17g}"
+        return str(value)
+
+    fields = ("model", "N", "j", "h", "fidelity", "delta_h", "chi")
+    lines = [",".join(fields)]
+    lines += [",".join(cell(row[f]) for f in fields) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 class TestCurve:
@@ -123,6 +179,38 @@ class TestCurve:
                              "--output", str(tmp_path / target))
         assert code == 2
         assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    @pytest.mark.parametrize("model, sizes", [("lmg", (2, 8, 4000)),
+                                              ("heisenberg", (4, 8, 64))],
+                             ids=["lmg", "heisenberg"])
+    def test_matches_row_dict_reference_bytes(self, capsys, model, sizes,
+                                              output_format):
+        code, out, _ = run(capsys, "curve", "--model", model, "--sizes",
+                           ",".join(map(str, sizes)), "--format", output_format)
+        assert code == 0
+        assert out == reference_curve_output(model, sizes, output_format)
+        if model == "heisenberg":
+            # the last crossing of every ring has no spacing
+            last = (',,\n' if output_format == "csv"
+                    else '"delta_h": null,\n      "chi": null\n')
+            assert out.count(last) == len(sizes)
+
+    @pytest.mark.parametrize("target", ["directory", "missing/out.csv"])
+    @pytest.mark.parametrize("argv", [
+        ("curve", "--model", "heisenberg", "--sizes", "8"),
+        ("validate", "--max-size", "8"),
+    ])
+    def test_unwritable_output_fails_before_any_solve(
+            self, capsys, tmp_path, monkeypatch, argv, target):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a sector before checking --output")
+
+        monkeypatch.setattr(bethe, "solve_bethe", no_solve)
+        (tmp_path / "directory").mkdir()
+        code, out, err = run(capsys, *argv, "--output", str(tmp_path / target))
+        assert code == 2
+        assert out == "" and err.startswith("error: cannot write output ")
 
     def test_size_cap_is_a_config_error(self, capsys):
         code, _, err = run(capsys, "curve", "--model", "heisenberg",

@@ -11,10 +11,10 @@ import pytest
 import partialfid
 from partialfid import (
     ed_sector_ground_energy,
-    sector_basis,
     sector_hamiltonian,
     validate_bethe,
 )
+from partialfid.ed import _sector_states
 
 
 def literal_hamiltonian(n, n_down):
@@ -43,39 +43,40 @@ def literal_hamiltonian(n, n_down):
 
 class TestBasis:
     def test_states_sorted_with_right_popcount(self):
-        basis = sector_basis(6, 2)
-        assert basis.dimension == 15
-        assert list(basis.states) == sorted(basis.states)
-        assert all(s.bit_count() == 2 for s in basis.states)
+        states = _sector_states(6, 2).tolist()
+        assert len(states) == 15
+        assert states == sorted(states)
+        assert all(s.bit_count() == 2 for s in states)
 
     def test_empty_and_full(self):
-        assert sector_basis(4, 0).states == (0,)
-        assert sector_basis(4, 4).states == (0b1111,)
+        assert _sector_states(4, 0).tolist() == [0]
+        assert _sector_states(4, 4).tolist() == [0b1111]
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            sector_basis(5, 2)
+            _sector_states(5, 2)
         with pytest.raises(ValueError):
-            sector_basis(4, 5)
+            _sector_states(4, 5)
+        with pytest.raises(ValueError):
+            _sector_states(4, -1)
         with pytest.raises(ValueError, match="64-bit"):
-            sector_basis(64, 1)
+            _sector_states(64, 1)
 
     def test_matches_popcount_filter(self):
         for n in (2, 6, 10):
             for n_down in range(n + 1):
-                expected = tuple(s for s in range(1 << n)
-                                 if s.bit_count() == n_down)
-                assert sector_basis(n, n_down).states == expected
+                expected = [s for s in range(1 << n) if s.bit_count() == n_down]
+                assert _sector_states(n, n_down).tolist() == expected
 
     def test_small_sector_of_long_ring(self):
         # built from the sector alone: a filter over all 2^60 integers
         # could not run
-        basis = sector_basis(60, 2)
-        assert basis.dimension == comb(60, 2)
-        assert basis.states[0] == 0b11
-        assert basis.states[-1] == 0b11 << 58
-        assert list(basis.states) == sorted(set(basis.states))
-        assert all(s.bit_count() == 2 for s in basis.states)
+        states = _sector_states(60, 2).tolist()
+        assert len(states) == comb(60, 2)
+        assert states[0] == 0b11
+        assert states[-1] == 0b11 << 58
+        assert states == sorted(set(states))
+        assert all(s.bit_count() == 2 for s in states)
 
 
 class TestHamiltonian:
@@ -107,10 +108,9 @@ class TestHamiltonian:
 
     def test_off_diagonal_row_sums_count_antiparallel_pairs(self):
         n, n_down = 8, 3
-        basis = sector_basis(n, n_down)
         h = sector_hamiltonian(n, n_down).matrix.toarray()
         off = np.abs(h - np.diag(np.diag(h))).sum(axis=1)
-        for row, s in enumerate(basis.states):
+        for row, s in enumerate(_sector_states(n, n_down).tolist()):
             pairs = sum(((s >> i) & 1) != ((s >> ((i + 1) % n)) & 1)
                         for i in range(n))
             assert off[row] == pytest.approx(0.5 * pairs, abs=1e-14)
@@ -125,7 +125,7 @@ class TestHamiltonian:
         # one diagonal entry per state plus one per antiparallel bond
         nonzeros = sum(1 + sum(((s >> i) ^ (s >> ((i + 1) % 10))) & 1
                                for i in range(10))
-                       for s in sector_basis(10, 5).states)
+                       for s in _sector_states(10, 5).tolist())
         assert m.nnz == nonzeros
         assert h.nbytes == m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
         assert h.nbytes < literal_hamiltonian(10, 5).nbytes

@@ -1,4 +1,4 @@
-"""Kernel tests: diagonal states, Bhattacharyya fidelity, susceptibility."""
+"""Kernel tests: probability pairs, Bhattacharyya fidelity, susceptibility, curves."""
 
 import math
 
@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from partialfid import (
-    CrossingPoint,
-    CurvePoint,
-    DiagonalState,
+    Curve,
     bhattacharyya_fidelity,
     crossing_fidelity,
     crossing_susceptibility,
@@ -23,43 +21,44 @@ from partialfid import (
 
 
 class TestDiagonalState:
+    """Checks and renormalization of the probability pairs of one site."""
+
     def test_exact_pair_kept(self):
-        s = DiagonalState(0.875, 0.125)
-        assert s.p_up == 0.875 and s.p_down == 0.125
+        # an exact pair is not rescaled: the overlap with the polarized pair
+        # is sqrt(0.875) to the bit
+        f = bhattacharyya_fidelity((0.875, 0.125), (1.0, 0.0))
+        assert f == math.sqrt(0.875)
 
     def test_small_drift_renormalized(self):
-        s = DiagonalState(0.5 + 3e-13, 0.5)
-        assert abs(s.p_up + s.p_down - 1.0) <= 1e-14
+        # (0.5 + 3e-13) twice sums to 1 + 6e-13; unrenormalized, the overlap
+        # with the polarized pair would exceed sqrt(0.5) by 2e-13
+        f = bhattacharyya_fidelity((0.5 + 3e-13, 0.5 + 3e-13), (1.0, 0.0))
+        assert abs(f - math.sqrt(0.5)) <= 1e-15
 
     def test_large_drift_rejected(self):
         with pytest.raises(ValueError):
-            DiagonalState(0.6, 0.5)
+            bhattacharyya_fidelity((0.6, 0.5), (0.5, 0.5))
+        with pytest.raises(ValueError):
+            bhattacharyya_fidelity((0.5, 0.5), (0.6, 0.5))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            DiagonalState(1.0 + 1e-13, -1e-13)
-
-    def test_sigma_z(self):
-        assert DiagonalState(0.875, 0.125).sigma_z() == 0.75
+            bhattacharyya_fidelity((1.0 + 1e-13, -1e-13), (0.5, 0.5))
 
 
 class TestSingleSiteState:
     def test_polarized_three_quarters(self):
         # <sigma^z> = 2*3/8 = 0.75
-        s = single_site_state(8, 3)
-        assert s.p_up == 0.875 and s.p_down == 0.125
+        assert single_site_state(8, 3) == (0.875, 0.125)
 
     def test_fully_polarized(self):
-        s = single_site_state(6, 3)
-        assert s.p_up == 1.0 and s.p_down == 0.0
+        assert single_site_state(6, 3) == (1.0, 0.0)
 
     def test_zero_magnetization(self):
-        s = single_site_state(4, 0)
-        assert s.p_up == 0.5 and s.p_down == 0.5
+        assert single_site_state(4, 0) == (0.5, 0.5)
 
     def test_negative_magnetization(self):
-        s = single_site_state(8, -4)
-        assert s.p_up == 0.0 and s.p_down == 1.0
+        assert single_site_state(8, -4) == (0.0, 1.0)
 
     @pytest.mark.parametrize("n, m", [(7, 2), (0, 0), (-2, 0), (8, 5), (8, -5)])
     def test_domain_errors(self, n, m):
@@ -67,23 +66,21 @@ class TestSingleSiteState:
             single_site_state(n, m)
 
     def test_array_argument(self):
-        s = single_site_state(8, np.array([4, 3, 0]))
-        assert np.array_equal(s.p_up, [1.0, 0.875, 0.5])
+        p_up, p_down = single_site_state(8, np.array([4, 3, 0]))
+        assert np.array_equal(p_up, [1.0, 0.875, 0.5])
+        assert np.array_equal(p_down, [0.0, 0.125, 0.5])
 
 
 class TestBhattacharyya:
     def test_identical_states(self):
-        s = DiagonalState(0.5, 0.5)
-        assert bhattacharyya_fidelity(s, s) == 1.0
+        assert bhattacharyya_fidelity((0.5, 0.5), (0.5, 0.5)) == 1.0
 
     def test_orthogonal_supports(self):
-        assert bhattacharyya_fidelity(DiagonalState(1.0, 0.0),
-                                      DiagonalState(0.0, 1.0)) == 0.0
+        assert bhattacharyya_fidelity((1.0, 0.0), (0.0, 1.0)) == 0.0
 
     def test_hand_value(self):
         # sqrt(1 * 0.875) + sqrt(0 * 0.125) = sqrt(0.875)
-        f = bhattacharyya_fidelity(DiagonalState(1.0, 0.0),
-                                   DiagonalState(0.875, 0.125))
+        f = bhattacharyya_fidelity((1.0, 0.0), (0.875, 0.125))
         assert f == pytest.approx(math.sqrt(0.875), abs=1e-15)
         assert f == pytest.approx(0.9354143, abs=5e-8)
 
@@ -92,8 +89,8 @@ class TestBhattacharyya:
         rng = np.random.default_rng(20260810)
         a = rng.uniform(0.0, 1.0, size=10_000)
         b = rng.uniform(0.0, 1.0, size=10_000)
-        p = DiagonalState(a, 1.0 - a)
-        q = DiagonalState(b, 1.0 - b)
+        p = (a, 1.0 - a)
+        q = (b, 1.0 - b)
         f_pq = bhattacharyya_fidelity(p, q)
         f_qp = bhattacharyya_fidelity(q, p)
         assert np.array_equal(f_pq, f_qp)
@@ -167,57 +164,90 @@ class TestGlobalSectorOverlap:
         assert global_sector_overlap(m_low, m_high) == 0.0
 
 
+def hand_curve(**columns):
+    """A valid 6-spin Curve with two spacings, with some columns replaced."""
+    valid = {"n": 6, "j": np.array([0, 1, 2]), "h": np.array([0.9, 0.5, 0.1]),
+             "sector_above": np.array([3, 2, 1]),
+             "fidelity": np.array([0.9, 0.95, 0.99]),
+             "delta_h": np.array([0.4, 0.4])}
+    return Curve(**{**valid, **columns})
+
+
 class TestCrossingPoint:
     def test_non_adjacent_sectors_rejected(self):
-        with pytest.raises(ValueError):
-            CrossingPoint(0, 0.9, 5, 3)
+        hand_curve()
+        with pytest.raises(ValueError, match="adjacent"):
+            hand_curve(sector_above=np.array([3, 1, 0]))
 
     def test_nonpositive_field_rejected(self):
-        with pytest.raises(ValueError):
-            CrossingPoint(0, 0.0, 5, 4)
+        with pytest.raises(ValueError, match="positive"):
+            hand_curve(h=np.array([0.9, 0.5, 0.0]))
 
 
 class TestCurvePoint:
-    def _crossing(self):
-        return CrossingPoint(0, 0.75, 2, 1)
-
     def test_chi_must_recompute(self):
-        f, dh = 0.9, 0.5
-        good = float(crossing_susceptibility(f, dh))
-        CurvePoint(self._crossing(), f, dh, good)
-        with pytest.raises(ValueError):
-            CurvePoint(self._crossing(), f, dh, good * (1.0 + 1e-9))
+        curve = hand_curve()
+        assert np.array_equal(curve.chi, crossing_susceptibility(
+            curve.fidelity[:2], curve.delta_h))
+        assert curve.chi[0] == float(crossing_susceptibility(0.9, 0.4))
 
     def test_chi_and_delta_h_together(self):
-        with pytest.raises(ValueError):
-            CurvePoint(self._crossing(), 0.9, 0.5, None)
-        with pytest.raises(ValueError):
-            CurvePoint(self._crossing(), 0.9, None, 1.0)
+        curve = lmg_curve(8)
+        assert len(curve.chi) == len(curve.delta_h) == len(curve) == 4
+        curve = heisenberg_curve(8)
+        assert len(curve.chi) == len(curve.delta_h) == len(curve) - 1 == 3
 
     def test_bare_point_allowed(self):
-        point = CurvePoint(self._crossing(), 0.9)
-        assert point.delta_h is None and point.chi is None
+        curve = hand_curve(delta_h=np.array([]))
+        assert len(curve) == 3
+        assert curve.delta_h.size == 0 and curve.chi.size == 0
 
     def test_fidelity_range_enforced(self):
-        with pytest.raises(ValueError):
-            CurvePoint(self._crossing(), 0.0)
-        with pytest.raises(ValueError):
-            CurvePoint(self._crossing(), 1.0 + 1e-9)
+        with pytest.raises(ValueError, match="fidelity"):
+            hand_curve(fidelity=np.array([0.9, 0.0, 0.99]))
+        with pytest.raises(ValueError, match="fidelity"):
+            hand_curve(fidelity=np.array([0.9, 0.95, 1.0 + 1e-9]))
+        # a fidelity past the last spacing is checked too
+        with pytest.raises(ValueError, match="fidelity"):
+            hand_curve(fidelity=np.array([0.9, 0.95, 0.0]))
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="lengths"):
+            hand_curve(h=np.array([0.9, 0.5]))
+        with pytest.raises(ValueError, match="lengths"):
+            hand_curve(fidelity=np.array([0.9, 0.95, 0.99, 0.999]))
+
+    def test_nonpositive_spacing_rejected(self):
+        with pytest.raises(ValueError, match="delta_h"):
+            hand_curve(delta_h=np.array([0.4, 0.0]))
+        with pytest.raises(ValueError, match="delta_h"):
+            hand_curve(delta_h=np.array([-0.4, 0.4]))
 
 
 class TestFidelityCurve:
     def test_models_share_the_crossing_fidelity(self):
         for n in range(4, 41, 2):
-            assert [p.fidelity for p in heisenberg_curve(n)] == \
-                [p.fidelity for p in lmg_curve(n)]
+            assert heisenberg_curve(n).fidelity.tolist() == \
+                lmg_curve(n).fidelity.tolist()
 
     def test_crossings_beyond_spacings_carry_no_chi(self):
         curve = fidelity_curve(8, lmg_crossings(8), [0.25, 0.25])
-        assert [p.delta_h for p in curve] == [0.25, 0.25, None, None]
-        assert curve[0].chi == float(crossing_susceptibility(curve[0].fidelity,
+        assert len(curve) == 4
+        assert curve.delta_h.tolist() == [0.25, 0.25]
+        assert curve.chi[0] == float(crossing_susceptibility(curve.fidelity[0],
                                                              0.25))
-        assert curve[2].chi is None and curve[3].chi is None
+        assert curve.chi.size == 2
 
     def test_more_spacings_than_crossings_rejected(self):
         with pytest.raises(ValueError):
             fidelity_curve(8, lmg_crossings(8), [0.25] * 5)
+
+    def test_columns_follow_the_crossing_index(self):
+        curve = fidelity_curve(8, lmg_crossings(8), [0.25] * 4)
+        assert curve.n == 8
+        assert curve.j.tolist() == [0, 1, 2, 3]
+        assert curve.sector_above.tolist() == [4, 3, 2, 1]
+        assert curve.h.tolist() == [0.875, 0.625, 0.375, 0.125]
+        assert np.array_equal(curve.fidelity,
+                              crossing_fidelity(8, curve.sector_above,
+                                                curve.sector_above - 1))

@@ -28,9 +28,9 @@ class TestEnergy:
 
     def test_degenerate_at_crossing(self):
         for n in (4, 10, 64):
-            for c in lmg_crossings(n):
-                above = lmg_energy(n, c.sector_above, c.field)
-                below = lmg_energy(n, c.sector_below, c.field)
+            for j, h in enumerate(lmg_crossings(n).tolist()):
+                above = lmg_energy(n, n // 2 - j, h)
+                below = lmg_energy(n, n // 2 - j - 1, h)
                 assert above == pytest.approx(below, rel=1e-12, abs=1e-12)
 
     def test_domain_errors(self):
@@ -63,14 +63,14 @@ class TestGroundMagnetization:
         # at every field lmg_crossings emits the larger sector wins, and one
         # ulp below it the smaller one, for all N <= 1000
         for n in range(2, 1001, 2):
-            for c in lmg_crossings(n):
-                assert lmg_ground_magnetization(n, c.field) == c.sector_above
-                below = math.nextafter(c.field, -math.inf)
-                assert lmg_ground_magnetization(n, below) == c.sector_below
+            for j, h in enumerate(lmg_crossings(n).tolist()):
+                assert lmg_ground_magnetization(n, h) == n // 2 - j
+                below = math.nextafter(h, -math.inf)
+                assert lmg_ground_magnetization(n, below) == n // 2 - j - 1
 
     def test_matches_energy_argmin_on_dense_grid(self):
         for n in (4, 10, 48, 200):
-            crossing_fields = {c.field for c in lmg_crossings(n)}
+            crossing_fields = set(lmg_crossings(n).tolist())
             for h in np.linspace(0.0, 1.1, 431):
                 if any(abs(h - hc) < 1e-9 for hc in crossing_fields):
                     continue  # argmin ambiguous only exactly at a crossing
@@ -86,45 +86,51 @@ class TestGroundMagnetization:
 
 class TestCrossings:
     def test_ten_spins(self):
-        fields = [c.field for c in lmg_crossings(10)]
+        fields = lmg_crossings(10).tolist()
         assert fields == pytest.approx([0.9, 0.7, 0.5, 0.3, 0.1], abs=1e-15)
 
     def test_four_spins(self):
-        assert [c.field for c in lmg_crossings(4)] == [0.75, 0.25]
+        assert lmg_crossings(4).tolist() == [0.75, 0.25]
 
     def test_two_spins(self):
-        (c,) = lmg_crossings(2)
-        assert (c.field, c.sector_above, c.sector_below) == (0.5, 1, 0)
+        assert lmg_crossings(2).tolist() == [0.5]
+        curve = lmg_curve(2)
+        assert (curve.h.tolist(), curve.sector_above.tolist()) == ([0.5], [1])
 
     def test_sectors_and_ordering(self):
         for n in (2, 8, 30, 256):
-            crossings = lmg_crossings(n)
-            assert len(crossings) == n // 2
-            assert crossings[0].sector_above == n // 2
-            assert crossings[-1].field == pytest.approx(1.0 / n, rel=1e-15)
-            fields = [c.field for c in crossings]
-            assert all(a > b for a, b in zip(fields, fields[1:]))
-            assert all(c.sector_above == n // 2 - c.index for c in crossings)
+            fields = lmg_crossings(n)
+            assert len(fields) == n // 2
+            assert fields[-1] == pytest.approx(1.0 / n, rel=1e-15)
+            assert np.all(fields[:-1] > fields[1:])
+            curve = lmg_curve(n)
+            assert curve.sector_above[0] == n // 2
+            assert np.array_equal(curve.sector_above, n // 2 - curve.j)
+            assert np.array_equal(curve.h, fields)
 
 
 class TestCurve:
     def test_four_spin_values(self):
-        first, second = lmg_curve(4)
-        assert first.fidelity == pytest.approx(math.sqrt(12.0) / 4.0, abs=1e-15)
-        assert first.delta_h == 0.5
-        assert first.chi == pytest.approx(-8.0 * math.log(math.sqrt(12.0) / 4.0),
-                                          rel=1e-14)
-        assert second.fidelity == pytest.approx((math.sqrt(6) + math.sqrt(2)) / 4.0,
-                                                abs=1e-15)
-        assert second.chi == pytest.approx(-8.0 * math.log(second.fidelity),
-                                           rel=1e-14)
+        curve = lmg_curve(4)
+        assert len(curve) == 2
+        assert curve.fidelity[0] == pytest.approx(math.sqrt(12.0) / 4.0,
+                                                  abs=1e-15)
+        assert curve.delta_h[0] == 0.5
+        assert curve.chi[0] == pytest.approx(
+            -8.0 * math.log(math.sqrt(12.0) / 4.0), rel=1e-14)
+        assert curve.fidelity[1] == pytest.approx(
+            (math.sqrt(6) + math.sqrt(2)) / 4.0, abs=1e-15)
+        assert curve.chi[1] == pytest.approx(-8.0 * math.log(curve.fidelity[1]),
+                                             rel=1e-14)
 
     def test_uniform_spacing(self):
-        assert all(p.delta_h == 2.0 / 100 for p in lmg_curve(100))
+        curve = lmg_curve(100)
+        assert len(curve.delta_h) == len(curve) == 50
+        assert np.all(curve.delta_h == 2.0 / 100)
 
     def test_curve_fidelities_match_closed_form(self):
         for n in (*range(2, 201, 2), 1000, 4096):
-            f = np.array([p.fidelity for p in lmg_curve(n)])
+            f = lmg_curve(n).fidelity
             closed = lmg_fidelity(n, np.arange(n // 2))
             assert np.max(np.abs(f - closed) / closed) <= 1e-12
 
@@ -138,15 +144,13 @@ class TestCurve:
     def test_minimum_at_first_crossing(self):
         for n in (4, 16, 210):
             curve = lmg_curve(n)
-            fidelities = [p.fidelity for p in curve]
-            chis = [p.chi for p in curve]
-            assert np.argmin(fidelities) == 0
-            assert np.argmax(chis) == 0
+            assert np.argmin(curve.fidelity) == 0
+            assert np.argmax(curve.chi) == 0
 
     def test_minimum_rises_with_size(self):
         previous = 0.0
         for n in (4, 8, 16, 32, 64, 128):
-            smallest = min(p.fidelity for p in lmg_curve(n))
+            smallest = lmg_curve(n).fidelity.min()
             assert smallest == pytest.approx(math.sqrt(1.0 - 1.0 / n), abs=1e-15)
             assert smallest > previous
             previous = smallest
@@ -160,7 +164,7 @@ class TestChiMax:
 
     def test_matches_curve_maximum(self):
         for n in (4, 10, 64, 1024):
-            curve_max = max(p.chi for p in lmg_curve(n))
+            curve_max = lmg_curve(n).chi.max()
             assert lmg_chi_max(n) == pytest.approx(curve_max, rel=1e-11)
 
     def test_large_n_asymptote(self):
