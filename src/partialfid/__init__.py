@@ -43,7 +43,6 @@ from .fidelity import (
     single_site_state,
 )
 from .lmg import (
-    LmgSector,
     lmg_chi_max,
     lmg_crossings,
     lmg_curve,
@@ -58,7 +57,6 @@ __all__ = [
     "BetheRoots",
     "ConvergenceError",
     "Curve",
-    "LmgSector",
     "PowerLawFit",
     "SectorHamiltonian",
     "SolverConfig",

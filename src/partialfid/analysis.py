@@ -9,7 +9,9 @@ import numpy as np
 from . import bethe, lmg
 from .fidelity import _check_size, crossing_fidelity, crossing_susceptibility
 
-MODELS = ("lmg", "heisenberg")
+# Smallest system size of each model; a ring's first spacing needs N >= 4.
+SIZE_FLOORS = {"lmg": 2, "heisenberg": 4}
+MODELS = tuple(SIZE_FLOORS)
 
 
 @dataclass(frozen=True)
@@ -67,12 +69,11 @@ def chi_max_scan(model, sizes, solver=bethe.SolverConfig()):
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-    floor = 2 if model == "lmg" else 4
     sizes = sorted(set(int(n) for n in sizes))
     if not sizes:
         raise ValueError("at least one size required")
     for n in sizes:
-        _check_size(n, floor)
+        _check_size(n, SIZE_FLOORS[model])
 
     rows = []
     for n in sizes:

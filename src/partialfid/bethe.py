@@ -117,17 +117,16 @@ def _check_sector(n, n_down):
         raise ValueError(f"n_down must lie in [0, {n // 2}], got {n_down}")
 
 
-def solve_bethe(n, n_down, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def solve_bethe(n, n_down, solver=SolverConfig()):
     """Solve the ground-state rapidities of sector (n, n_down) by Newton's method.
 
     Args:
         n: ring length, even.
         n_down: number of down spins, 0 <= n_down <= n/2.
-        tol: convergence threshold on the maximum equation violation for
-            n <= 64; larger rings use tol * n / 64, since the equation terms
-            grow like n pi and an absolute threshold falls below float64
-            resolution.
-        max_iter: budget of Newton steps before giving up.
+        solver: `SolverConfig` with the threshold `tol` on the maximum
+            equation violation, applied as tol * max(1, n/64) since the
+            equation terms grow like n pi, and the budget `max_iter` of
+            Newton steps before giving up.
 
     Returns:
         BetheRoots with ascending rapidities, the achieved residual and the
@@ -136,25 +135,24 @@ def solve_bethe(n, n_down, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     Raises:
         ConvergenceError: threshold not reached within max_iter steps, or a
             singular Jacobian or non-finite step.
-        ValueError: invalid sector or solver parameters (see `SolverConfig`).
+        ValueError: invalid sector.
     """
     _check_sector(n, n_down)
-    SolverConfig(tol, max_iter)
 
     qn = bethe_quantum_numbers(n_down)
     x = np.tan(np.pi * qn / n)
     if n_down == 0:
         return BetheRoots(n, 0, qn, x, 0.0, 0)
 
-    threshold = tol * max(1.0, n / 64.0)  # terms of F grow like n pi
+    threshold = solver.tol * max(1.0, n / 64.0)  # terms of F grow like n pi
     two_pi_qn = 2.0 * np.pi * qn
-    for iteration in range(max_iter + 1):
+    for iteration in range(solver.max_iter + 1):
         d = 0.5 * (x[:, None] - x[None, :])
         f = 2.0 * n * np.arctan(x) - two_pi_qn - 2.0 * np.arctan(d).sum(axis=1)
         residual = float(np.max(np.abs(f)))
         if residual <= threshold:
             return BetheRoots(n, n_down, qn, np.sort(x), residual, iteration)
-        if iteration == max_iter:
+        if iteration == solver.max_iter:
             break
         # Jacobian in place of d: 1/(1 + d^2) off the diagonal (1 on it)
         np.multiply(d, d, out=d)
@@ -169,7 +167,7 @@ def solve_bethe(n, n_down, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         if not np.all(np.isfinite(step)):
             raise ConvergenceError(n, n_down, residual, iteration)
         x = x - step
-    raise ConvergenceError(n, n_down, residual, max_iter)
+    raise ConvergenceError(n, n_down, residual, solver.max_iter)
 
 
 def sector_epsilon(roots):
@@ -184,7 +182,7 @@ def sector_energy(n, n_down, h, solver=SolverConfig()):
     Affine in h with slope -(n - 2 n_down); the rapidities carry no field
     dependence.
     """
-    roots = solve_bethe(n, n_down, solver.tol, solver.max_iter)
+    roots = solve_bethe(n, n_down, solver)
     return n / 4.0 - (n - 2 * n_down) * h - sector_epsilon(roots)
 
 
@@ -202,7 +200,7 @@ def heisenberg_crossings(n, max_index=None, solver=SolverConfig()):
     if not 0 <= last <= n // 2 - 1:
         raise ValueError(f"max_index must lie in [0, {n // 2 - 1}], got {max_index}")
     epsilon = np.array([
-        sector_epsilon(solve_bethe(n, k, solver.tol, solver.max_iter))
+        sector_epsilon(solve_bethe(n, k, solver))
         for k in range(last + 2)
     ])
     return 0.5 * (epsilon[1:] - epsilon[:-1])

@@ -1,9 +1,14 @@
 """Command-line front end: curves, chi_max scaling scans, and ED validation.
 
-Emits machine-readable CSV (17 significant digits, LF line endings, empty
-fields for absent values) or JSON (a `config` echo plus a `rows` array with
-the same field names).  Identical configurations produce byte-identical
-output.  Exit codes: 0 success, 1 numerical failure, 2 usage/config error.
+Every subcommand writes one table, given as blocks of rows.  A block is a
+key -- the leading cells every row of the block shares, such as
+(model, N) -- followed by one value column per remaining field.  A column
+shorter than its block is absent in the rows past its end.  The table goes
+out as CSV (17 significant digits, LF line endings, an empty field where a
+value is absent) or as JSON: a `config` echo plus a `rows` array with the
+same field names, `null` where a value is absent, and for a `scaling` run
+a `fit` record.  Identical configurations produce byte-identical output.
+Exit codes: 0 success, 1 numerical failure, 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ import errno
 import json
 import os
 import sys
-from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import islice, zip_longest
+
+import numpy as np
 
 from . import analysis, bethe, ed, lmg
 from .fidelity import _check_size
@@ -27,52 +33,6 @@ VALIDATE_FIELDS = ("kind", "N", "sector_or_index", "bethe", "ed", "difference",
 
 class ConfigError(ValueError):
     """Invalid command-line configuration (exit code 2)."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of one curve or scaling run."""
-
-    command: str
-    model: str
-    sizes: tuple
-    solver: bethe.SolverConfig = bethe.SolverConfig()
-    format: str = "csv"
-    output: str = "-"
-
-    def __post_init__(self):
-        if self.model not in analysis.MODELS:
-            raise ConfigError(f"model must be one of {analysis.MODELS}")
-        if not self.sizes:
-            raise ConfigError("at least one size required")
-        floor = 2 if self.model == "lmg" else 4
-        for n in self.sizes:
-            _check_size(n, floor)
-        if self.command == "scaling" and len(set(self.sizes)) < 3:
-            raise ConfigError("scaling needs at least 3 distinct sizes")
-        if self.format not in ("csv", "json"):
-            raise ConfigError("format must be csv or json")
-
-    def echo(self):
-        return {
-            "command": self.command,
-            "model": self.model,
-            "sizes": list(self.sizes),
-            "tol": self.solver.tol,
-            "max_iter": self.solver.max_iter,
-            "format": self.format,
-            "output": self.output,
-        }
-
-
-def _format_value(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
 
 
 def _check_output(output):
@@ -108,17 +68,60 @@ def _emit(text, output):
         handle.write(text)
 
 
-def _csv(fields, rows):
+def _values(column):
+    """Python values of a column; numpy arrays give Python ints and floats."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _spec(column):
+    """Column as printf cells with their conversion: %.17g floats, true/false."""
+    column = _values(column)
+    if column and isinstance(column[0], float):
+        return column, "%.17g"
+    if column and isinstance(column[0], bool):
+        return ["true" if value else "false" for value in column], "%s"
+    return column, "%s"
+
+
+def _csv_lines(key, columns):
+    """CSV lines of one block.
+
+    The block is cut where a column ends, and each stretch of rows is
+    printed through one printf format with an empty field for every column
+    past its end.
+    """
+    head = "".join(f"{cell}," for cell in key)
+    columns = [_spec(column) for column in columns]
+    ends = sorted({0, *(len(column) for column, _ in columns)})
+    lines = []
+    for start, stop in zip(ends, ends[1:]):
+        row = ",".join(spec if len(column) >= stop else ""
+                       for column, spec in columns)
+        lines += [head + row % cells for cells in zip(*(
+            islice(column, start, stop)
+            for column, _ in columns if len(column) >= stop))]
+    return lines
+
+
+def _write(fields, blocks, output, echo=None, **records):
+    """Write a table of (key, columns) blocks as CSV, or as JSON given `echo`.
+
+    Key cells are labels (text or integers).  A column is a sequence or a
+    numpy array of values of one type, converted to Python values one block
+    at a time.  The JSON document is `echo` as `config`, the rows, and
+    `records` as further top-level entries.
+    """
+    if echo is not None:
+        rows = [dict(zip(fields, (*key, *cells)))
+                for key, columns in blocks
+                for cells in zip_longest(*map(_values, columns))]
+        document = {"config": echo, "rows": rows, **records}
+        _emit(json.dumps(document, indent=2) + "\n", output)
+        return
     lines = [",".join(fields)]
-    lines += [",".join(_format_value(row[f]) for f in fields) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _json(config_echo, rows, fit=None):
-    document = {"config": config_echo, "rows": rows}
-    if fit is not None:
-        document["fit"] = fit
-    return json.dumps(document, indent=2) + "\n"
+    for key, columns in blocks:
+        lines += _csv_lines(key, columns)
+    _emit("\n".join(lines) + "\n", output)
 
 
 def _parse_sizes(text):
@@ -131,62 +134,33 @@ def _parse_sizes(text):
     return sizes
 
 
-def _curve_cells(curve):
-    """(j, h, fidelity, delta_h, chi) of each crossing; None past the last spacing."""
-    return zip_longest(curve.j.tolist(), curve.h.tolist(),
-                       curve.fidelity.tolist(), curve.delta_h.tolist(),
-                       curve.chi.tolist())
-
-
-def cmd_curve(config):
-    """Emit (model, N, j, h, fidelity, delta_h, chi) rows per crossing per size.
-
-    Rows are written straight from each curve's columns, with no per-row
-    object on the CSV path.
-    """
-    curves = [lmg.lmg_curve(n) if config.model == "lmg"
-              else bethe.heisenberg_curve(n, solver=config.solver)
-              for n in config.sizes]
-    if config.format == "json":
-        rows = [dict(zip(CURVE_FIELDS, (config.model, curve.n, *cells)))
-                for curve in curves for cells in _curve_cells(curve)]
-        _emit(_json(config.echo(), rows), config.output)
-        return 0
-    lines = [",".join(CURVE_FIELDS)]
-    for curve in curves:
-        head = f"{config.model},{curve.n},"
-        lines += [f"{head}{j},{h:.17g},{f:.17g},"
-                  + ("," if d is None else f"{d:.17g},{c:.17g}")
-                  for j, h, f, d, c in _curve_cells(curve)]
-    _emit("\n".join(lines) + "\n", config.output)
+def cmd_curve(model, sizes, solver, output, echo=None):
+    """Emit (model, N, j, h, fidelity, delta_h, chi) rows per crossing per size."""
+    curves = [lmg.lmg_curve(n) if model == "lmg"
+              else bethe.heisenberg_curve(n, solver=solver) for n in sizes]
+    _write(CURVE_FIELDS, [((model, c.n), (c.j, c.h, c.fidelity, c.delta_h, c.chi))
+                          for c in curves], output, echo)
     return 0
 
 
-def cmd_scaling(config):
-    """Emit per-size (N, h_at_max, chi_max) rows plus a trailing fit record."""
-    scan = analysis.chi_max_scan(config.model, config.sizes,
-                                 solver=config.solver)
+def cmd_scaling(model, sizes, solver, output, echo=None):
+    """Emit per-size (N, h_at_max, chi_max) rows plus the power-law fit.
+
+    In CSV the fit is a trailing row with model `fit`; in JSON the rows stop
+    at chi_max and the fit is a separate `fit` record.
+    """
+    scan = analysis.chi_max_scan(model, sizes, solver=solver)
     fit = analysis.fit_power_law([(n, chi) for n, _, chi in scan])
-    rows = [{
-        "model": config.model,
-        "N": n,
-        "h_at_max": h_at_max,
-        "chi_max": chi_max,
-        "exponent": None,
-        "r_squared": None,
-    } for n, h_at_max, chi_max in scan]
-    if config.format == "csv":
-        rows.append({
-            "model": "fit", "N": None, "h_at_max": None, "chi_max": None,
+    columns = tuple(zip(*scan))
+    if echo is not None:
+        _write(SCALING_FIELDS[:4], [((model,), columns)], output, echo, fit={
             "exponent": fit.exponent, "r_squared": fit.r_squared,
-        })
-        _emit(_csv(SCALING_FIELDS, rows), config.output)
-    else:
-        for row in rows:
-            del row["exponent"], row["r_squared"]
-        fit_record = {"exponent": fit.exponent, "r_squared": fit.r_squared,
-                      "points_used": fit.points_used}
-        _emit(_json(config.echo(), rows, fit=fit_record), config.output)
+            "points_used": fit.points_used})
+        return 0
+    _write(SCALING_FIELDS, [
+        ((model,), (*columns, (), ())),
+        (("fit",), ((), (), (), (fit.exponent,), (fit.r_squared,))),
+    ], output)
     return 0
 
 
@@ -195,32 +169,22 @@ def cmd_validate(max_size, solver, output):
     _check_size(max_size, floor=4)
     if max_size > 20:
         raise ConfigError(f"max-size must be at most 20, got {max_size}")
-    rows = []
-    all_passed = True
+    blocks = []
     for n in range(4, max_size + 1, 2):
         report = ed.validate_bethe(n, solver=solver)
-        all_passed = all_passed and report.passed
-        for c in report.sectors:
-            rows.append({
-                "kind": "energy", "N": c.n, "sector_or_index": c.n_down,
-                "bethe": c.energy_bethe, "ed": c.energy_ed,
-                "difference": c.difference, "passed": c.passed,
-            })
-        for c in report.crossings:
-            rows.append({
-                "kind": "crossing", "N": c.n, "sector_or_index": c.index,
-                "bethe": c.field_bethe, "ed": c.field_ed,
-                "difference": c.difference, "passed": c.passed,
-            })
-    _emit(_csv(VALIDATE_FIELDS, rows), output)
-    if not all_passed:
-        for row in rows:
-            if not row["passed"]:
-                print(f"FAIL {row['kind']} N={row['N']} "
-                      f"sector_or_index={row['sector_or_index']} "
-                      f"difference={row['difference']:.3e}", file=sys.stderr)
-        return 1
-    return 0
+        blocks += [
+            (("energy", n), [(c.n_down, c.energy_bethe, c.energy_ed,
+                              c.difference, c.passed) for c in report.sectors]),
+            (("crossing", n), [(c.index, c.field_bethe, c.field_ed,
+                                c.difference, c.passed) for c in report.crossings]),
+        ]
+    _write(VALIDATE_FIELDS, [(key, tuple(zip(*rows))) for key, rows in blocks],
+           output)
+    failed = [(key, row) for key, rows in blocks for row in rows if not row[-1]]
+    for (kind, n), (index, _, _, difference, _) in failed:
+        print(f"FAIL {kind} N={n} sector_or_index={index} "
+              f"difference={difference:.3e}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _parser():
@@ -267,12 +231,19 @@ def main(argv=None):
         solver = bethe.SolverConfig(args.tol, args.max_iter)
         if args.command == "validate":
             return cmd_validate(args.max_size, solver, args.output)
-        config = RunConfig(command=args.command, model=args.model,
-                           sizes=_parse_sizes(args.sizes), solver=solver,
-                           format=args.format, output=args.output)
-        if args.command == "curve":
-            return cmd_curve(config)
-        return cmd_scaling(config)
+        sizes = _parse_sizes(args.sizes)
+        for n in sizes:
+            _check_size(n, analysis.SIZE_FLOORS[args.model])
+        if args.command == "scaling" and len(set(sizes)) < 3:
+            raise ConfigError("scaling needs at least 3 distinct sizes")
+        echo = None
+        if args.format == "json":
+            echo = {"command": args.command, "model": args.model,
+                    "sizes": list(sizes), "tol": solver.tol,
+                    "max_iter": solver.max_iter, "format": args.format,
+                    "output": args.output}
+        command = cmd_curve if args.command == "curve" else cmd_scaling
+        return command(args.model, sizes, solver, args.output, echo)
     except bethe.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

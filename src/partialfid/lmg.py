@@ -11,29 +11,20 @@ the fidelity curve follows from the single-site states of adjacent sectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fidelity import _check_size, fidelity_curve
 
 
-@dataclass(frozen=True)
-class LmgSector:
-    """Magnetization sector |S = n/2, M = m> of the n-spin model, 0 <= m <= n/2."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        _check_size(self.n)
-        if not 0 <= self.m <= self.n // 2:
-            raise ValueError(f"m must lie in [0, {self.n // 2}], got {self.m}")
-
-
 def lmg_energy(n, m, h):
-    """Energy (2/n)(m - hn/2)^2 - (n/2)(1 + h^2) of sector m at field h >= 0."""
-    LmgSector(n, m)
+    """Energy (2/n)(m - hn/2)^2 - (n/2)(1 + h^2) of sector m at field h >= 0.
+
+    The sector |S = n/2, M = m> needs 0 <= m <= n/2.
+    """
+    _check_size(n)
+    if not 0 <= m <= n // 2:
+        raise ValueError(f"m must lie in [0, {n // 2}], got {m}")
     if h < 0.0:
         raise ValueError(f"field must be nonnegative, got {h}")
     return (2.0 / n) * (m - h * n / 2.0) ** 2 - (n / 2.0) * (1.0 + h * h)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from partialfid import (
+    SolverConfig,
     bhattacharyya_fidelity,
     chi_max_scan,
     crossing_fidelity,
@@ -181,10 +182,11 @@ def test_criterion_8_property_suite():
         assert np.all(f_pq[np.abs(a - b) > 1e-7] < 1.0)
 
         tol = 1e-12
+        solver = SolverConfig(tol=tol)
         for n in range(4, 65, 2):
             epsilons = []
             for n_down in range(n // 2 + 1):
-                roots = solve_bethe(n, n_down, tol=tol)
+                roots = solve_bethe(n, n_down, solver=solver)
                 assert roots.residual <= tol
                 # independent scalar-loop residual re-verification
                 recomputed = 0.0

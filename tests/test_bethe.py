@@ -86,7 +86,7 @@ class TestSolver:
 
     def test_nonconvergence_reports_sector_and_residual(self):
         with pytest.raises(ConvergenceError) as info:
-            solve_bethe(12, 6, max_iter=3)
+            solve_bethe(12, 6, solver=SolverConfig(max_iter=3))
         err = info.value
         assert (err.n, err.n_down, err.iterations) == (12, 6, 3)
         assert err.residual > 0.0
@@ -99,19 +99,19 @@ class TestSolver:
 
     def test_parameter_domain_errors(self):
         with pytest.raises(ValueError):
-            solve_bethe(8, 2, tol=0.0)
+            solve_bethe(8, 2, solver=SolverConfig(tol=0.0))
         with pytest.raises(ValueError):
-            solve_bethe(8, 2, max_iter=-1)
+            solve_bethe(8, 2, solver=SolverConfig(max_iter=-1))
         for tol in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
-                solve_bethe(8, 2, tol=tol)
+                solve_bethe(8, 2, solver=SolverConfig(tol=tol))
             with pytest.raises(ValueError):
                 SolverConfig(tol=tol)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=-1)
 
     def test_loose_tolerance_at_half_filling(self):
-        roots = solve_bethe(64, 32, tol=0.05)
+        roots = solve_bethe(64, 32, solver=SolverConfig(tol=0.05))
         assert roots.residual <= 0.05
         assert np.all(np.diff(roots.rapidities) > 0.0)
 

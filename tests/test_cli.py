@@ -9,7 +9,15 @@ from itertools import zip_longest
 import numpy as np
 import pytest
 
-from partialfid import bethe, sector_epsilon, solve_bethe
+from partialfid import (
+    SolverConfig,
+    bethe,
+    chi_max_scan,
+    fit_power_law,
+    sector_epsilon,
+    solve_bethe,
+    validate_bethe,
+)
 from partialfid.cli import main
 
 
@@ -54,26 +62,81 @@ def reference_curve_rows(model, n):
                 fields, fidelity.tolist(), spacings, chi.tolist()))]
 
 
-def reference_curve_output(model, sizes, output_format):
-    """`curve` output written row dict by row dict, cell by cell."""
-    rows = [row for n in sizes for row in reference_curve_rows(model, n)]
+def reference_text(fields, rows, output_format, config=None, **records):
+    """Rows written row dict by row dict, cell by cell, as CSV or JSON."""
     if output_format == "json":
-        config = {"command": "curve", "model": model, "sizes": list(sizes),
-                  "tol": 1e-12, "max_iter": 50, "format": "json",
-                  "output": "-"}
-        return json.dumps({"config": config, "rows": rows}, indent=2) + "\n"
+        document = {"config": config, "rows": rows, **records}
+        return json.dumps(document, indent=2) + "\n"
 
     def cell(value):
         if value is None:
             return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
         if isinstance(value, float):
             return f"{value:.17g}"
         return str(value)
 
-    fields = ("model", "N", "j", "h", "fidelity", "delta_h", "chi")
     lines = [",".join(fields)]
     lines += [",".join(cell(row[f]) for f in fields) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def reference_config(command, model, sizes, output_format):
+    return {"command": command, "model": model, "sizes": list(sizes),
+            "tol": 1e-12, "max_iter": 50, "format": output_format,
+            "output": "-"}
+
+
+def reference_curve_output(model, sizes, output_format):
+    """`curve` output written row dict by row dict, cell by cell."""
+    rows = [row for n in sizes for row in reference_curve_rows(model, n)]
+    fields = ("model", "N", "j", "h", "fidelity", "delta_h", "chi")
+    return reference_text(fields, rows, output_format,
+                          reference_config("curve", model, sizes, output_format))
+
+
+def reference_scaling_output(model, sizes, output_format):
+    """`scaling` output from `chi_max_scan` and `fit_power_law`, cell by cell.
+
+    CSV rows leave the fit columns empty and end with a `fit` row; JSON rows
+    have no fit columns, and the fit is a separate record.
+    """
+    scan = chi_max_scan(model, sizes)
+    fit = fit_power_law([(n, chi) for n, _, chi in scan])
+    rows = [{"model": model, "N": n, "h_at_max": h, "chi_max": chi}
+            for n, h, chi in scan]
+    fields = ("model", "N", "h_at_max", "chi_max", "exponent", "r_squared")
+    if output_format == "json":
+        return reference_text(
+            fields, rows, "json",
+            reference_config("scaling", model, sizes, "json"),
+            fit={"exponent": fit.exponent, "r_squared": fit.r_squared,
+                 "points_used": fit.points_used})
+    rows = [{**row, "exponent": None, "r_squared": None} for row in rows]
+    rows.append({"model": "fit", "N": None, "h_at_max": None, "chi_max": None,
+                 "exponent": fit.exponent, "r_squared": fit.r_squared})
+    return reference_text(fields, rows, "csv")
+
+
+def reference_validate_rows(max_size, solver=SolverConfig()):
+    """`validate` rows from the `validate_bethe` reports, energies first."""
+    rows = []
+    for n in range(4, max_size + 1, 2):
+        report = validate_bethe(n, solver=solver)
+        rows += [{"kind": "energy", "N": c.n, "sector_or_index": c.n_down,
+                  "bethe": c.energy_bethe, "ed": c.energy_ed,
+                  "difference": c.difference, "passed": c.passed}
+                 for c in report.sectors]
+        rows += [{"kind": "crossing", "N": c.n, "sector_or_index": c.index,
+                  "bethe": c.field_bethe, "ed": c.field_ed,
+                  "difference": c.difference, "passed": c.passed}
+                 for c in report.crossings]
+    return rows
+
+
+VALIDATE_FIELDS = ("kind", "N", "sector_or_index", "bethe", "ed", "difference",
+                   "passed")
 
 
 class TestCurve:
@@ -265,6 +328,25 @@ class TestScaling:
         assert 2.5 < document["fit"]["exponent"] < 3.5
         assert document["fit"]["points_used"] == 3
 
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    @pytest.mark.parametrize("model, sizes", [
+        ("lmg", (64, 128, 256, 512)),
+        ("heisenberg", (4, 8, 16, 64, 1024)),
+    ], ids=["lmg", "heisenberg"])
+    def test_matches_row_dict_reference_bytes(self, capsys, model, sizes,
+                                              output_format):
+        code, out, _ = run(capsys, "scaling", "--model", model, "--sizes",
+                           ",".join(map(str, sizes)), "--format", output_format)
+        assert code == 0
+        assert out == reference_scaling_output(model, sizes, output_format)
+        if output_format == "csv":
+            # every size row leaves both fit columns empty
+            assert all(line.endswith(",,")
+                       for line in out.splitlines()[1:-1])
+            assert out.splitlines()[-1].startswith("fit,,,,")
+        else:
+            assert '"exponent"' not in out.split('"fit"')[0]
+
     def test_too_few_sizes(self, capsys):
         code, _, err = run(capsys, "scaling", "--model", "lmg", "--sizes", "8,16")
         assert code == 2
@@ -284,6 +366,27 @@ class TestValidate:
         assert len(crossing_rows) == sum(n // 2 for n in (4, 6, 8))
         assert all(r["passed"] == "true" for r in rows)
         assert all(float(r["difference"]) < 1e-8 for r in rows)
+
+    def test_matches_report_reference_bytes(self, capsys):
+        code, out, err = run(capsys, "validate", "--max-size", "8")
+        assert (code, err) == (0, "")
+        assert out == reference_text(VALIDATE_FIELDS,
+                                     reference_validate_rows(8), "csv")
+
+    def test_failures_exit_one_after_the_full_table(self, capsys):
+        # a loose solver tolerance leaves some sectors far from ED
+        code, out, err = run(capsys, "validate", "--max-size", "12",
+                             "--tol", "0.05")
+        assert code == 1
+        rows = reference_validate_rows(12, SolverConfig(tol=0.05))
+        assert len(rows) == sum(n + 1 for n in range(4, 13, 2))
+        assert out == reference_text(VALIDATE_FIELDS, rows, "csv")
+        failed = [row for row in rows if not row["passed"]]
+        assert failed and len(failed) < len(rows)
+        assert err == "".join(
+            f"FAIL {row['kind']} N={row['N']} "
+            f"sector_or_index={row['sector_or_index']} "
+            f"difference={row['difference']:.3e}\n" for row in failed)
 
     @pytest.mark.parametrize("size", ["3", "2", "22", "9"])
     def test_bad_max_size(self, capsys, size):

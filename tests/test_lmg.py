@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from partialfid import (
-    LmgSector,
     crossing_fidelity,
     lmg_chi_max,
     lmg_crossings,
@@ -41,7 +40,7 @@ class TestEnergy:
         with pytest.raises(ValueError):
             lmg_energy(4, 2, -0.1)
         with pytest.raises(ValueError):
-            LmgSector(5, 2)
+            lmg_energy(5, 2, 0.5)
 
 
 class TestGroundMagnetization:
