@@ -75,16 +75,16 @@ def chi_max_scan(model, sizes, solver=bethe.SolverConfig()):
     for n in sizes:
         _check_size(n, SIZE_FLOORS[model])
 
-    rows = []
-    for n in sizes:
-        if model == "lmg":
-            rows.append((n, 1.0 - 1.0 / n, lmg.lmg_chi_max(n)))
-        else:
-            h0, h1 = bethe.heisenberg_crossings(
-                n, max_index=1, solver=solver).tolist()
-            f = crossing_fidelity(n, n // 2, n // 2 - 1)
-            rows.append((n, h0, float(crossing_susceptibility(f, h0 - h1))))
-    return rows
+    if model == "lmg":
+        return [(n, 1.0 - 1.0 / n, lmg.lmg_chi_max(n)) for n in sizes]
+    fields = np.empty((len(sizes), 2))  # h_0, h_1 per size
+    for row, n in zip(fields, sizes):
+        row[:] = bethe.heisenberg_crossings(n, max_index=1, solver=solver)
+    h0, h1 = fields.T
+    n = np.array(sizes)
+    chi = crossing_susceptibility(
+        crossing_fidelity(n, n // 2, n // 2 - 1), h0 - h1)
+    return list(zip(sizes, h0.tolist(), chi.tolist()))
 
 
 def min_fidelity(curve):

@@ -9,15 +9,28 @@ with quantum numbers I_j = -(n_down-1)/2, ..., (n_down-1)/2.  The sector
 energy is affine in the field h because the equations do not involve h, which
 pins each crossing field exactly from two sector solves, with no field scan.
 
-The solver is Newton's method on F, as in ABACUS (J.-S. Caux, J. Math.
-Phys. 50, 095214 (2009)), started from x_j = tan(pi I_j / n).  The Jacobian
-is symmetric and closed form: off the diagonal dF_j/dx_l = 1/(1 + (x_j -
-x_l)^2/4), and on it 2n/(1 + x_j^2) minus the sum of that row's off-diagonal
-entries.  It converges in about ten steps at every sector size, so the
-budget is 50 steps.  The terms of F grow like n pi, so the convergence
-threshold on max_j |F_j| is tol * max(1, n/64): tol itself up to n = 64, and
-beyond that a fixed multiple (10 to 20 at tol = 1e-12) of the float64 spacing
-near the largest term, which the iteration can reach at every n.
+The ground-state root set is antisymmetric, x_{n_down+1-j} = -x_j, so the
+solver works on the P = floor(n_down/2) positive roots y_j alone; for odd
+n_down the middle root is 0, which solves its own equation, and stays fixed.
+With the positive quantum numbers I_j, each y_j solves
+
+    F_j = 2 n arctan(y_j) - 2 pi I_j - 2 [sum_l arctan((y_j - y_l) / 2)
+          + sum_l arctan((y_j + y_l) / 2) + odd arctan(y_j / 2)] = 0,
+
+the equation of x_j = y_j with the pair terms of -y_l (and of 0) written out;
+the equation of -y_j is its negative.  The solver is Newton's method on this
+half system, as in ABACUS (J.-S. Caux, J. Math. Phys. 50, 095214 (2009)),
+started from y_j = tan(pi I_j / n).  With K(d) = 1/(1 + d^2/4) the Jacobian
+is symmetric and closed form: off the diagonal dF_j/dy_l = K(y_j - y_l) -
+K(y_j + y_l), and on it 2n/(1 + y_j^2) - (sum_l K(y_j - y_l) - 1) - sum_l
+K(y_j + y_l) - 1/(1 + y_j^2) - odd K(y_j).  Half the unknowns make a quarter
+of the Jacobian and an eighth of the dense solve of the full system.  It
+converges in about ten steps at every sector size, so the budget is 50 steps.
+The terms of F grow like n pi, so the convergence threshold on max_j |F_j|
+(the same over the half and the full root set) is tol * max(1, n/64): tol
+itself up to n = 64, and beyond that a fixed multiple (10 to 20 at tol =
+1e-12) of the float64 spacing near the largest term, which the iteration can
+reach at every n.
 """
 
 from __future__ import annotations
@@ -33,9 +46,9 @@ from .fidelity import _check_size, fidelity_curve
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 50
 
-# Largest sector solve a full curve may trigger without the caller raising the
-# cap; chi_max scans need only n_down <= 2 and are exempt.
-DEFAULT_SIZE_CAP = 512
+# Largest ring whose full curve (every sector up to half filling) runs without
+# the caller raising the cap; chi_max scans need only n_down <= 2 and are exempt.
+DEFAULT_SIZE_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -120,6 +133,10 @@ def _check_sector(n, n_down):
 def solve_bethe(n, n_down, solver=SolverConfig()):
     """Solve the ground-state rapidities of sector (n, n_down) by Newton's method.
 
+    Newton runs on the floor(n_down/2) positive roots only (module docstring);
+    the full root set is their mirror image, a zero root for odd n_down, and
+    the roots themselves.
+
     Args:
         n: ring length, even.
         n_down: number of down spins, 0 <= n_down <= n/2.
@@ -129,8 +146,8 @@ def solve_bethe(n, n_down, solver=SolverConfig()):
             Newton steps before giving up.
 
     Returns:
-        BetheRoots with ascending rapidities, the achieved residual and the
-        number of Newton steps taken.
+        BetheRoots with all n_down rapidities ascending, the achieved
+        residual and the number of Newton steps taken.
 
     Raises:
         ConvergenceError: threshold not reached within max_iter steps, or a
@@ -140,33 +157,43 @@ def solve_bethe(n, n_down, solver=SolverConfig()):
     _check_sector(n, n_down)
 
     qn = bethe_quantum_numbers(n_down)
-    x = np.tan(np.pi * qn / n)
-    if n_down == 0:
-        return BetheRoots(n, 0, qn, x, 0.0, 0)
+    odd = n_down % 2
+    positive = qn[n_down - n_down // 2:]
+    y = np.tan(np.pi * positive / n)
+    size = y.size
+    if size == 0:  # the lone zero root of n_down = 1 solves its equation
+        return BetheRoots(n, n_down, qn, np.zeros(odd), 0.0, 0)
 
     threshold = solver.tol * max(1.0, n / 64.0)  # terms of F grow like n pi
-    two_pi_qn = 2.0 * np.pi * qn
+    two_pi_qn = 2.0 * np.pi * positive
     for iteration in range(solver.max_iter + 1):
-        d = 0.5 * (x[:, None] - x[None, :])
-        f = 2.0 * n * np.arctan(x) - two_pi_qn - 2.0 * np.arctan(d).sum(axis=1)
+        # half-differences of each positive root and every root y, -y (and 0)
+        half = 0.5 * y
+        d = half[:, None] - np.concatenate((half, -half, np.zeros(odd)))
+        f = 2.0 * n * np.arctan(y) - two_pi_qn - 2.0 * np.arctan(d).sum(axis=1)
         residual = float(np.max(np.abs(f)))
         if residual <= threshold:
-            return BetheRoots(n, n_down, qn, np.sort(x), residual, iteration)
+            y = np.sort(y)
+            x = np.concatenate((-y[::-1], np.zeros(odd), y))
+            return BetheRoots(n, n_down, qn, x, residual, iteration)
         if iteration == solver.max_iter:
             break
-        # Jacobian in place of d: 1/(1 + d^2) off the diagonal (1 on it)
+        # K = 1/(1 + d^2) in place of d; dF_j/dy_l = K(y_j - y_l) - K(y_j + y_l)
         np.multiply(d, d, out=d)
         d += 1.0
-        jacobian = np.reciprocal(d, out=d)
+        k = np.reciprocal(d, out=d)
+        jacobian = k[:, :size] - k[:, size:2 * size]
+        # a row of K holds K(0) = 1 for y_j itself and K(2 y_j) = 1/(1 + y_j^2)
+        # for -y_j, whose term -2 arctan(y_j) has derivative -2/(1 + y_j^2)
         np.fill_diagonal(jacobian,
-                         2.0 * n / (1.0 + x * x) - (jacobian.sum(axis=1) - 1.0))
+                         (2.0 * n - 1.0) / (1.0 + y * y) - (k.sum(axis=1) - 1.0))
         try:
             step = np.linalg.solve(jacobian, f)
         except np.linalg.LinAlgError:
             raise ConvergenceError(n, n_down, residual, iteration) from None
         if not np.all(np.isfinite(step)):
             raise ConvergenceError(n, n_down, residual, iteration)
-        x = x - step
+        y = y - step
     raise ConvergenceError(n, n_down, residual, solver.max_iter)
 
 

@@ -22,8 +22,14 @@ NORMALIZATION_DRIFT = 1e-12
 
 
 def _check_size(n, floor=2):
-    """Reject a system size that is odd or below `floor` spins."""
-    if n < floor or n % 2 != 0:
+    """Reject a system size that is odd or below `floor` spins.
+
+    `n` may be an integer array; every entry must pass.
+    """
+    invalid = (n < floor) | (n % 2 != 0)
+    if isinstance(invalid, np.ndarray):  # one scalar size needs no array reduction
+        invalid = invalid.any()
+    if invalid:
         raise ValueError(f"number of spins must be even and >= {floor}, got {n}")
 
 
@@ -31,7 +37,8 @@ def single_site_state(n, m):
     """Probability pair (p_up, p_down) of one site in the magnetization-m sector.
 
     The on-site average <sigma^z> is 2m/n, so the pair is
-    ((1 + 2m/n)/2, (1 - 2m/n)/2).  `m` may be an integer array.
+    ((1 + 2m/n)/2, (1 - 2m/n)/2).  `n` and `m` may be integer arrays, which
+    broadcast.
     """
     _check_size(n)
     if np.any(np.abs(np.asarray(m)) > n // 2):

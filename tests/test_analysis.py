@@ -8,8 +8,11 @@ import pytest
 from partialfid import (
     Curve,
     chi_max_scan,
+    crossing_fidelity,
+    crossing_susceptibility,
     fidelity_curve,
     fit_power_law,
+    heisenberg_crossings,
     heisenberg_curve,
     lmg_chi_max,
     lmg_curve,
@@ -84,6 +87,15 @@ class TestChiMaxScan:
     def test_sizes_sorted_and_deduplicated(self):
         rows = chi_max_scan("lmg", (8, 4, 8))
         assert [r[0] for r in rows] == [4, 8]
+
+    def test_rows_equal_per_size_scalar_route(self):
+        sizes = list(range(4, 301, 2)) + [1024, 4096, 8192]
+        expected = []
+        for n in sizes:
+            h0, h1 = heisenberg_crossings(n, max_index=1).tolist()
+            f = crossing_fidelity(n, n // 2, n // 2 - 1)
+            expected.append((n, h0, float(crossing_susceptibility(f, h0 - h1))))
+        assert chi_max_scan("heisenberg", sizes) == expected
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

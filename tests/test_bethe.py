@@ -28,6 +28,29 @@ def residual_by_hand(n, quantum_numbers, rapidities):
     return worst
 
 
+def full_system_newton(n, n_down, tol=1e-12, max_iter=50):
+    """Newton on all n_down coupled equations, no root symmetry assumed.
+
+    The full n_down x n_down Jacobian has 1/(1 + (x_j - x_l)^2/4) off the
+    diagonal and 2n/(1 + x_j^2) minus the rest of its row on it.  Returns the
+    ascending roots and the number of Newton steps.
+    """
+    qn = bethe_quantum_numbers(n_down)
+    x = np.tan(np.pi * qn / n)
+    threshold = tol * max(1.0, n / 64.0)
+    for steps in range(max_iter + 1):
+        d = 0.5 * (x[:, None] - x[None, :])
+        f = 2.0 * n * np.arctan(x) - 2.0 * np.pi * qn \
+            - 2.0 * np.arctan(d).sum(axis=1)
+        if np.max(np.abs(f)) <= threshold:
+            return np.sort(x), steps
+        jacobian = 1.0 / (1.0 + d * d)
+        np.fill_diagonal(jacobian, 2.0 * n / (1.0 + x * x)
+                         - (jacobian.sum(axis=1) - 1.0))
+        x = x - np.linalg.solve(jacobian, f)
+    raise AssertionError(f"full system ({n}, {n_down}) did not converge")
+
+
 class TestQuantumNumbers:
     def test_single_down_spin(self):
         assert bethe_quantum_numbers(1).tolist() == [0.0]
@@ -143,6 +166,30 @@ class TestSolver:
     def test_newton_converges_in_few_steps(self):
         for n, n_down in [(64, 32), (256, 128), (512, 256)]:
             assert solve_bethe(n, n_down).iterations <= 12
+
+
+class TestHalfSystem:
+    """`solve_bethe` solves only the positive roots; check it against the full system."""
+
+    @pytest.mark.parametrize("n, n_down",
+                             [(12, 5), (12, 6), (64, 31), (64, 32), (256, 127)])
+    def test_matches_full_system_newton(self, n, n_down):
+        half = solve_bethe(n, n_down)
+        full, steps = full_system_newton(n, n_down)
+        assert np.max(np.abs(half.rapidities - full)) <= 1e-12
+        assert half.iterations == steps
+
+    def test_zero_root_kept_for_odd_sectors(self):
+        for n, n_down in [(8, 1), (12, 5), (64, 31)]:
+            x = solve_bethe(n, n_down).rapidities
+            assert x[n_down // 2] == 0.0
+            assert np.array_equal(x[:n_down // 2], -x[:n_down // 2:-1])
+
+    def test_full_residual_within_threshold_at_cap(self):
+        roots = solve_bethe(1024, 512)
+        threshold = 1e-12 * 1024 / 64
+        full = bethe_residual(1024, roots.quantum_numbers, roots.rapidities)
+        assert roots.residual <= threshold and full <= threshold
 
 
 class TestSectorEnergy:
@@ -264,7 +311,7 @@ class TestCurve:
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            heisenberg_curve(514)
+            heisenberg_curve(1026)
         # explicit cap raise is honored
         assert len(heisenberg_curve(8, size_cap=None)) == 4
 

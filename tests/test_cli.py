@@ -277,7 +277,7 @@ class TestCurve:
 
     def test_size_cap_is_a_config_error(self, capsys):
         code, _, err = run(capsys, "curve", "--model", "heisenberg",
-                           "--sizes", "514")
+                           "--sizes", "1026")
         assert code == 2
         assert "cap" in err
 

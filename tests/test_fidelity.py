@@ -60,7 +60,11 @@ class TestSingleSiteState:
     def test_negative_magnetization(self):
         assert single_site_state(8, -4) == (0.0, 1.0)
 
-    @pytest.mark.parametrize("n, m", [(7, 2), (0, 0), (-2, 0), (8, 5), (8, -5)])
+    @pytest.mark.parametrize("n, m", [
+        (7, 2), (0, 0), (-2, 0), (8, 5), (8, -5),
+        # an array of sizes is rejected when any one entry is invalid
+        (np.array([8, 7]), 2), (np.array([8, 0]), 0), (np.array([8, 4]), 3),
+    ])
     def test_domain_errors(self, n, m):
         with pytest.raises(ValueError):
             single_site_state(n, m)
@@ -69,6 +73,11 @@ class TestSingleSiteState:
         p_up, p_down = single_site_state(8, np.array([4, 3, 0]))
         assert np.array_equal(p_up, [1.0, 0.875, 0.5])
         assert np.array_equal(p_down, [0.0, 0.125, 0.5])
+
+    def test_array_of_sizes(self):
+        p_up, p_down = single_site_state(np.array([8, 4]), np.array([3, 2]))
+        assert np.array_equal(p_up, [0.875, 1.0])
+        assert np.array_equal(p_down, [0.125, 0.0])
 
 
 class TestBhattacharyya:
