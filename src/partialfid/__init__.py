@@ -27,6 +27,7 @@ from .bethe import (
     solve_bethe,
 )
 from .ed import (
+    Comparison,
     SectorHamiltonian,
     ValidationReport,
     ed_sector_ground_energy,
@@ -55,6 +56,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BetheRoots",
+    "Comparison",
     "ConvergenceError",
     "Curve",
     "PowerLawFit",

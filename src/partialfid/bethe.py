@@ -218,9 +218,11 @@ def heisenberg_crossings(n, max_index=None, solver=SolverConfig()):
 
     Sector energies are affine in h, so adjacent sectors n_down = j and j+1
     (magnetizations n/2 - j and n/2 - j - 1) are degenerate exactly where the
-    epsilon difference says; no field grid is involved.  `max_index` limits the solve to crossings j <= max_index (a
-    chi_max scan needs only j <= 1, i.e. sectors n_down <= 2); the default
-    covers all n/2 crossings.
+    epsilon difference says; no field grid is involved.
+
+    `max_index` limits the solve to crossings j <= max_index (a chi_max scan
+    needs only j <= 1, i.e. sectors n_down <= 2); the default covers all n/2
+    crossings.
     """
     _check_size(n, floor=4)
     last = n // 2 - 1 if max_index is None else max_index
@@ -250,8 +252,10 @@ def heisenberg_curve(n, solver=SolverConfig(), size_cap=DEFAULT_SIZE_CAP):
 
     The spacing delta_h = h_j - h_{j+1} needs the next crossing, so the last
     row (j = n/2 - 1) has no `delta_h` or `chi` entry.  The maximum of chi
-    sits at j = 0.  Full curves solve every sector up to half filling and are capped
-    at `size_cap` spins; raise the cap explicitly for bigger rings.
+    sits at j = 0.
+
+    Full curves solve every sector up to half filling and are capped at
+    `size_cap` spins; raise the cap explicitly for bigger rings.
     """
     if size_cap is not None and n > size_cap:
         raise ValueError(

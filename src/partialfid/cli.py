@@ -169,22 +169,19 @@ def cmd_validate(max_size, solver, output):
     _check_size(max_size, floor=4)
     if max_size > 20:
         raise ConfigError(f"max-size must be at most 20, got {max_size}")
-    blocks = []
+    tables = []
     for n in range(4, max_size + 1, 2):
         report = ed.validate_bethe(n, solver=solver)
-        blocks += [
-            (("energy", n), [(c.n_down, c.energy_bethe, c.energy_ed,
-                              c.difference, c.passed) for c in report.sectors]),
-            (("crossing", n), [(c.index, c.field_bethe, c.field_ed,
-                                c.difference, c.passed) for c in report.crossings]),
-        ]
-    _write(VALIDATE_FIELDS, [(key, tuple(zip(*rows))) for key, rows in blocks],
-           output)
-    failed = [(key, row) for key, rows in blocks for row in rows if not row[-1]]
-    for (kind, n), (index, _, _, difference, _) in failed:
-        print(f"FAIL {kind} N={n} sector_or_index={index} "
-              f"difference={difference:.3e}", file=sys.stderr)
-    return 1 if failed else 0
+        tables += [(("energy", n), report.sectors),
+                   (("crossing", n), report.crossings)]
+    _write(VALIDATE_FIELDS, [(key, (np.arange(len(c)), c.bethe, c.ed,
+                                    c.difference, c.passed))
+                             for key, c in tables], output)
+    for (kind, n), c in tables:
+        for index in np.flatnonzero(~c.passed).tolist():
+            print(f"FAIL {kind} N={n} sector_or_index={index} "
+                  f"difference={c.difference[index]:.3e}", file=sys.stderr)
+    return 0 if all(c.passed.all() for _, c in tables) else 1
 
 
 def _parser():

@@ -5,7 +5,9 @@ basis (a set bit is a down spin) as a sparse CSR matrix and takes its lowest
 eigenvalue by Lanczos iteration, providing ground-state energies that are
 independent of the Bethe-Ansatz route.  Used to validate sector energies,
 crossing fields, and full curves at desk scale; the Zeeman part commutes
-with the sector projection and is added analytically.
+with the sector projection and is added analytically.  Sectors above
+`DIMENSION_CAP` states are refused, and a Bethe value passes validation when
+it lies within `VALIDATION_TOL` of its ED value.
 
 The ring sum runs literally over bonds (i, i+1 mod n), so n = 2 counts its
 single bond twice; n = 2 is therefore excluded from validation.
@@ -16,7 +18,7 @@ the package does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -24,21 +26,21 @@ import numpy as np
 from . import bethe
 from .fidelity import _check_size
 
-DEFAULT_DIMENSION_CAP = 200_000  # covers n = 20 at half filling (184,756)
-DEFAULT_VALIDATION_TOL = 1e-8
+DIMENSION_CAP = 200_000  # covers n = 20 at half filling (184,756)
+VALIDATION_TOL = 1e-8
 
 _NO_STATES = np.zeros(0, dtype=np.int64)
 
 
-def _sector_states(n, n_down, cap=DEFAULT_DIMENSION_CAP):
+def _sector_states(n, n_down):
     """Ascending n-bit integers with exactly n_down set bits (int64 array).
 
     Adds one bit at a time as the new highest bit: the m+1-bit integers with
     k set bits are the m-bit ones with k set bits, followed by 2^m plus the
     m-bit ones with k - 1 set bits, so every list stays ascending.  Only the
     counts k that can still reach n_down are kept, so the work is a few
-    times the sector dimension, never 2^n.  Sectors above `cap` states are
-    refused before any is built.
+    times the sector dimension, never 2^n.  Sectors above `DIMENSION_CAP`
+    states are refused before any is built.
     """
     _check_size(n)
     if n > 62:
@@ -47,10 +49,10 @@ def _sector_states(n, n_down, cap=DEFAULT_DIMENSION_CAP):
     if not 0 <= n_down <= n:
         raise ValueError(f"n_down must lie in [0, {n}], got {n_down}")
     dim = comb(n, n_down)
-    if dim > cap:
+    if dim > DIMENSION_CAP:
         raise ValueError(
             f"sector (n={n}, n_down={n_down}) has dimension {dim}, "
-            f"above the cap of {cap}"
+            f"above the cap of {DIMENSION_CAP}"
         )
     levels = {0: np.zeros(1, dtype=np.int64)}
     for m in range(n):
@@ -77,7 +79,7 @@ class SectorHamiltonian:
         return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
 
 
-def sector_hamiltonian(n, n_down, cap=DEFAULT_DIMENSION_CAP):
+def sector_hamiltonian(n, n_down):
     """Exchange part of the ring Hamiltonian in the (n, n_down) sector.
 
     Diagonal entries are sum_i s_i s_{i+1} with s = +-1/2; each antiparallel
@@ -86,7 +88,7 @@ def sector_hamiltonian(n, n_down, cap=DEFAULT_DIMENSION_CAP):
     binary search.  Returns a `SectorHamiltonian` holding a symmetric CSR
     matrix.
     """
-    states = _sector_states(n, n_down, cap)
+    states = _sector_states(n, n_down)
     dim = states.size
     from scipy.sparse import csr_array
 
@@ -124,89 +126,71 @@ def _lowest_eigenvalue(matrix):
                  return_eigenvectors=False)[0]
 
 
-def ed_sector_ground_energy(n, n_down, h, cap=DEFAULT_DIMENSION_CAP):
+def ed_sector_ground_energy(n, n_down, h):
     """Lowest sector eigenvalue plus the analytic Zeeman shift -h(n - 2 n_down)."""
-    hamiltonian = sector_hamiltonian(n, n_down, cap=cap)
+    hamiltonian = sector_hamiltonian(n, n_down)
     lowest = _lowest_eigenvalue(hamiltonian.matrix)
     return float(lowest) - h * (n - 2 * n_down)
 
 
-@dataclass(frozen=True)
-class SectorComparison:
-    """Bethe vs ED ground energy of one sector at h = 0."""
+@dataclass(frozen=True, eq=False)
+class Comparison:
+    """Bethe against ED values of one table, as numpy columns.
 
-    n: int
-    n_down: int
-    energy_bethe: float
-    energy_ed: float
-    difference: float
-    passed: bool
+    `difference` = |bethe - ed| and `passed` = difference < VALIDATION_TOL
+    are computed at construction.  The row index is implicit: n_down for
+    sector energies, j for crossing fields.
+    """
 
+    bethe: np.ndarray
+    ed: np.ndarray
+    difference: np.ndarray = field(init=False)
+    passed: np.ndarray = field(init=False)
 
-@dataclass(frozen=True)
-class CrossingComparison:
-    """Bethe vs ED crossing field for one adjacent sector pair."""
+    def __post_init__(self):
+        if len(self.bethe) != len(self.ed):
+            raise ValueError("columns bethe and ed must have equal lengths")
+        difference = np.abs(self.bethe - self.ed)
+        object.__setattr__(self, "difference", difference)
+        object.__setattr__(self, "passed", difference < VALIDATION_TOL)
 
-    n: int
-    index: int
-    field_bethe: float
-    field_ed: float
-    difference: float
-    passed: bool
+    def __len__(self):
+        return len(self.bethe)
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """All sector and crossing comparisons for one ring length."""
+    """Sector energies at h = 0 and crossing fields of one ring, Bethe vs ED."""
 
     n: int
-    sectors: tuple
-    crossings: tuple
-    passed: bool
+    sectors: Comparison
+    crossings: Comparison
 
-    def failures(self):
-        return [c for c in self.sectors + self.crossings if not c.passed]
+    @property
+    def passed(self):
+        return bool(self.sectors.passed.all() and self.crossings.passed.all())
 
 
-def validate_bethe(n, tol=DEFAULT_VALIDATION_TOL, cap=DEFAULT_DIMENSION_CAP,
-                   solver=bethe.SolverConfig()):
+def validate_bethe(n, solver=bethe.SolverConfig()):
     """Compare every sector of an n-spin ring against exact diagonalization.
 
-    Checks |E_bethe - E_ed| at h = 0 for n_down = 0 ... n/2 and the crossing
-    fields recomputed from ED energies against the Bethe route.  Collects all
-    comparisons rather than stopping at the first failure.
+    Compares the ground energies at h = 0 of n_down = 0 ... n/2, and the n/2
+    crossing fields recomputed from the ED energies against the Bethe route.
+    Every row is compared; a failure does not stop the run.
     """
     _check_size(n, floor=4)
-    if comb(n, n // 2) > cap:
+    if comb(n, n // 2) > DIMENSION_CAP:
         raise ValueError(
             f"half filling of n={n} has dimension {comb(n, n // 2)}, "
-            f"above the cap of {cap}"
+            f"above the cap of {DIMENSION_CAP}"
         )
-
-    energies_bethe = []
-    energies_ed = []
-    sectors = []
-    for n_down in range(n // 2 + 1):
-        e_bethe = bethe.sector_energy(n, n_down, 0.0, solver=solver)
-        e_ed = ed_sector_ground_energy(n, n_down, 0.0, cap=cap)
-        difference = abs(e_bethe - e_ed)
-        energies_bethe.append(e_bethe)
-        energies_ed.append(e_ed)
-        sectors.append(SectorComparison(
-            n, n_down, e_bethe, e_ed, difference, difference < tol
-        ))
-
+    sectors = range(n // 2 + 1)
+    energies_bethe = np.array([bethe.sector_energy(n, k, 0.0, solver=solver)
+                               for k in sectors])
+    energies_ed = np.array([ed_sector_ground_energy(n, k, 0.0) for k in sectors])
     # E(n_down, 0) = n/4 - epsilon(n_down), so the crossing field
     # (epsilon(j+1) - epsilon(j))/2 is half the ED energy drop.
-    crossings_bethe = bethe.heisenberg_crossings(n, solver=solver).tolist()
-    crossings = []
-    for j in range(n // 2):
-        field_ed = 0.5 * (energies_ed[j] - energies_ed[j + 1])
-        field_bethe = crossings_bethe[j]
-        difference = abs(field_bethe - field_ed)
-        crossings.append(CrossingComparison(
-            n, j, field_bethe, field_ed, difference, difference < tol
-        ))
-
-    passed = all(c.passed for c in sectors) and all(c.passed for c in crossings)
-    return ValidationReport(n, tuple(sectors), tuple(crossings), passed)
+    fields_ed = 0.5 * (energies_ed[:-1] - energies_ed[1:])
+    return ValidationReport(
+        n, Comparison(energies_bethe, energies_ed),
+        Comparison(bethe.heisenberg_crossings(n, solver=solver), fields_ed))

@@ -94,9 +94,9 @@ def crossing_susceptibility(fidelity, delta_h):
 class Curve:
     """Fidelity/susceptibility curve of n spins as numpy columns, one row per crossing.
 
-    Row j is the crossing at field `h[j]` between sector `sector_above[j]`
-    = n/2 - j (the ground state just above the field) and the one below it,
-    with fidelity `fidelity[j]`.  `delta_h[j]` is the distance to the next
+    Row j is the crossing at field `h[j]` between sector n/2 - j (the ground
+    state just above the field) and sector n/2 - j - 1 below it, with
+    fidelity `fidelity[j]`.  `delta_h[j]` is the distance to the next
     crossing; the last crossing of a chain may have no successor, so
     `delta_h` may be shorter than the other columns.  `chi` is computed from
     `fidelity` and `delta_h` at construction and has the length of `delta_h`.
@@ -105,21 +105,16 @@ class Curve:
     n: int
     j: np.ndarray
     h: np.ndarray
-    sector_above: np.ndarray
     fidelity: np.ndarray
     delta_h: np.ndarray
     chi: np.ndarray = field(init=False)
 
     def __post_init__(self):
         size = len(self.j)
-        if not (len(self.h) == len(self.sector_above) == len(self.fidelity)
-                == size >= len(self.delta_h)):
+        if not len(self.h) == len(self.fidelity) == size >= len(self.delta_h):
             raise ValueError(
-                "columns j, h, sector_above and fidelity must have equal "
-                "lengths, with no more spacings than crossings")
-        if not np.array_equal(self.sector_above, self.n // 2 - self.j):
-            raise ValueError("sectors at a crossing must be adjacent: "
-                             "sector_above must equal n/2 - j")
+                "columns j, h and fidelity must have equal lengths, with no "
+                "more spacings than crossings")
         if not np.all(self.h > 0.0):
             raise ValueError(f"crossing fields must be positive, got {self.h}")
         if not np.all((self.fidelity > 0.0) & (self.fidelity <= 1.0)):
@@ -143,7 +138,7 @@ def fidelity_curve(n, fields, spacings):
     h = np.asarray(fields, dtype=float)
     j = np.arange(h.size)
     above = n // 2 - j
-    return Curve(n, j, h, above, crossing_fidelity(n, above, above - 1),
+    return Curve(n, j, h, crossing_fidelity(n, above, above - 1),
                  np.asarray(spacings, dtype=float))
 
 

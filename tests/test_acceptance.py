@@ -134,11 +134,11 @@ def test_criterion_5_heisenberg_chi_max_scaling():
 def test_criterion_6_bethe_vs_ed_oracle():
     def body():
         for n in (4, 6, 8, 10, 12):
-            report = validate_bethe(n, tol=1e-8)
-            assert report.passed, f"N={n}: {report.failures()}"
+            report = validate_bethe(n)
+            assert report.passed, f"N={n}: {report}"
             assert len(report.sectors) == n // 2 + 1
-            assert all(c.difference < 1e-8 for c in report.sectors)
-            assert all(c.difference < 1e-8 for c in report.crossings)
+            assert np.all(report.sectors.difference < 1e-8)
+            assert np.all(report.crossings.difference < 1e-8)
 
     run_criterion(6, "Bethe = ED energies and crossings, N in [4, 12]", 60.0, body)
 
@@ -212,12 +212,12 @@ def test_criterion_8_property_suite():
 def test_criterion_9_bethe_vs_sparse_ed_at_16_and_18():
     def body():
         for n in (16, 18):
-            report = validate_bethe(n, tol=1e-8)
-            assert report.passed, f"N={n}: {report.failures()}"
+            report = validate_bethe(n)
+            assert report.passed, f"N={n}: {report}"
             assert len(report.sectors) == n // 2 + 1
             assert len(report.crossings) == n // 2
-            assert all(c.difference < 1e-8
-                       for c in report.sectors + report.crossings)
+            assert np.all(report.sectors.difference < 1e-8)
+            assert np.all(report.crossings.difference < 1e-8)
 
     run_criterion(9, "Bethe = sparse ED energies and crossings, N = 16, 18",
                   30.0, body)

@@ -133,8 +133,7 @@ class TestMinFidelity:
 
     def test_tie_takes_larger_field(self):
         def curve(j, h):
-            j = np.array(j)
-            return Curve(6, j, np.array(h), 3 - j, np.array([0.5, 0.5]),
+            return Curve(6, np.array(j), np.array(h), np.array([0.5, 0.5]),
                          np.array([]))
 
         assert min_fidelity(curve([1, 0], [0.4, 0.9])) == (0.9, 0.5)

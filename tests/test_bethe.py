@@ -246,7 +246,7 @@ class TestCrossings:
     def test_sector_labels(self):
         curve = heisenberg_curve(12)
         assert len(heisenberg_crossings(12)) == 6
-        assert curve.sector_above.tolist() == [6, 5, 4, 3, 2, 1]
+        assert (12 // 2 - curve.j).tolist() == [6, 5, 4, 3, 2, 1]
         assert curve.j.tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_max_index_prefix_consistent(self):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 from itertools import zip_longest
+from math import comb
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from partialfid import (
     SolverConfig,
     bethe,
     chi_max_scan,
+    ed,
     fit_power_law,
     sector_epsilon,
     solve_bethe,
@@ -124,14 +126,15 @@ def reference_validate_rows(max_size, solver=SolverConfig()):
     rows = []
     for n in range(4, max_size + 1, 2):
         report = validate_bethe(n, solver=solver)
-        rows += [{"kind": "energy", "N": c.n, "sector_or_index": c.n_down,
-                  "bethe": c.energy_bethe, "ed": c.energy_ed,
-                  "difference": c.difference, "passed": c.passed}
-                 for c in report.sectors]
-        rows += [{"kind": "crossing", "N": c.n, "sector_or_index": c.index,
-                  "bethe": c.field_bethe, "ed": c.field_ed,
-                  "difference": c.difference, "passed": c.passed}
-                 for c in report.crossings]
+        for kind, table in (("energy", report.sectors),
+                            ("crossing", report.crossings)):
+            rows += [{"kind": kind, "N": n, "sector_or_index": index,
+                      "bethe": bethe_value, "ed": ed_value,
+                      "difference": difference, "passed": passed}
+                     for index, (bethe_value, ed_value, difference, passed)
+                     in enumerate(zip(table.bethe.tolist(), table.ed.tolist(),
+                                      table.difference.tolist(),
+                                      table.passed.tolist()))]
     return rows
 
 
@@ -392,6 +395,12 @@ class TestValidate:
     def test_bad_max_size(self, capsys, size):
         code, _, _ = run(capsys, "validate", "--max-size", size)
         assert code == 2
+
+    def test_max_size_limit_is_the_ed_cap(self, capsys):
+        # the CLI's limit of 20 is the largest ring the ED cap admits
+        assert comb(20, 10) <= ed.DIMENSION_CAP < comb(22, 11)
+        code, _, err = run(capsys, "validate", "--max-size", "22")
+        assert (code, err) == (2, "error: max-size must be at most 20, got 22\n")
 
     def test_repeat_runs_byte_identical(self, capsys):
         first = run(capsys, "validate", "--max-size", "12")

@@ -10,11 +10,13 @@ import pytest
 
 import partialfid
 from partialfid import (
+    Comparison,
+    ValidationReport,
     ed_sector_ground_energy,
     sector_hamiltonian,
     validate_bethe,
 )
-from partialfid.ed import _sector_states
+from partialfid.ed import VALIDATION_TOL, _sector_states
 
 
 def literal_hamiltonian(n, n_down):
@@ -116,8 +118,9 @@ class TestHamiltonian:
             assert off[row] == pytest.approx(0.5 * pairs, abs=1e-14)
 
     def test_dimension_cap(self):
-        with pytest.raises(ValueError, match="3432"):
-            sector_hamiltonian(14, 7, cap=1000)
+        # refused before any state is built
+        with pytest.raises(ValueError, match="705432"):
+            sector_hamiltonian(22, 11)
 
     def test_nbytes_counts_the_sparse_arrays(self):
         h = sector_hamiltonian(10, 5)
@@ -153,34 +156,59 @@ class TestGroundEnergy:
             lowest, abs=1e-12)
 
 
+class TestComparison:
+    def test_difference_and_passed_columns(self):
+        tol = VALIDATION_TOL
+        bethe = np.array([-2.0, 0.3, tol, np.nextafter(tol, 0.0), 1.0])
+        ed = np.array([-2.0, 0.3 + 1e-6, 0.0, 0.0, 1.0 - 2.0 * tol])
+        table = Comparison(bethe, ed)
+        assert np.array_equal(table.difference, np.abs(bethe - ed))
+        assert table.difference[2] == tol
+        # strictly below the tolerance: a row exactly at it fails
+        assert table.passed.tolist() == [True, False, False, True, False]
+        assert np.array_equal(table.passed, table.difference < tol)
+        assert len(table) == 5
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError, match="equal lengths"):
+            Comparison(np.zeros(3), np.zeros(2))
+
+    def test_report_passes_only_when_every_row_passes(self):
+        good = Comparison(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+        bad = Comparison(np.array([1.0]), np.array([1.5]))
+        assert ValidationReport(4, good, good).passed is True
+        assert ValidationReport(4, good, bad).passed is False
+        assert ValidationReport(4, bad, good).passed is False
+
+
 class TestValidation:
     def test_eight_spins_all_sectors_agree(self):
         report = validate_bethe(8)
         assert report.passed
         assert len(report.sectors) == 5
-        assert all(c.difference < 1e-8 for c in report.sectors)
-        assert not report.failures()
+        assert np.all(report.sectors.difference < 1e-8)
+        assert report.sectors.passed.all() and report.crossings.passed.all()
 
     def test_twelve_spins_with_crossings(self):
         report = validate_bethe(12)
         assert report.passed
         assert len(report.sectors) == 7
         assert len(report.crossings) == 6
-        assert all(c.difference < 1e-8 for c in report.crossings)
+        assert np.all(report.crossings.difference < 1e-8)
 
     def test_four_spins_saturation_field(self):
         report = validate_bethe(4)
         assert report.passed
-        assert report.crossings[0].field_bethe == pytest.approx(1.0, abs=1e-10)
-        assert report.crossings[0].field_ed == pytest.approx(1.0, abs=1e-10)
+        assert report.crossings.bethe[0] == pytest.approx(1.0, abs=1e-10)
+        assert report.crossings.ed[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             validate_bethe(2)
         with pytest.raises(ValueError):
             validate_bethe(9)
-        with pytest.raises(ValueError):
-            validate_bethe(16, cap=4000)
+        with pytest.raises(ValueError, match="above the cap"):
+            validate_bethe(22)
 
 
 def test_import_leaves_scipy_sparse_unloaded():

@@ -176,18 +176,12 @@ class TestGlobalSectorOverlap:
 def hand_curve(**columns):
     """A valid 6-spin Curve with two spacings, with some columns replaced."""
     valid = {"n": 6, "j": np.array([0, 1, 2]), "h": np.array([0.9, 0.5, 0.1]),
-             "sector_above": np.array([3, 2, 1]),
              "fidelity": np.array([0.9, 0.95, 0.99]),
              "delta_h": np.array([0.4, 0.4])}
     return Curve(**{**valid, **columns})
 
 
 class TestCrossingPoint:
-    def test_non_adjacent_sectors_rejected(self):
-        hand_curve()
-        with pytest.raises(ValueError, match="adjacent"):
-            hand_curve(sector_above=np.array([3, 1, 0]))
-
     def test_nonpositive_field_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             hand_curve(h=np.array([0.9, 0.5, 0.0]))
@@ -255,8 +249,8 @@ class TestFidelityCurve:
         curve = fidelity_curve(8, lmg_crossings(8), [0.25] * 4)
         assert curve.n == 8
         assert curve.j.tolist() == [0, 1, 2, 3]
-        assert curve.sector_above.tolist() == [4, 3, 2, 1]
+        above = 8 // 2 - curve.j
+        assert above.tolist() == [4, 3, 2, 1]
         assert curve.h.tolist() == [0.875, 0.625, 0.375, 0.125]
         assert np.array_equal(curve.fidelity,
-                              crossing_fidelity(8, curve.sector_above,
-                                                curve.sector_above - 1))
+                              crossing_fidelity(8, above, above - 1))

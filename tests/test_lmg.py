@@ -94,7 +94,7 @@ class TestCrossings:
     def test_two_spins(self):
         assert lmg_crossings(2).tolist() == [0.5]
         curve = lmg_curve(2)
-        assert (curve.h.tolist(), curve.sector_above.tolist()) == ([0.5], [1])
+        assert (curve.h.tolist(), (2 // 2 - curve.j).tolist()) == ([0.5], [1])
 
     def test_sectors_and_ordering(self):
         for n in (2, 8, 30, 256):
@@ -103,8 +103,7 @@ class TestCrossings:
             assert fields[-1] == pytest.approx(1.0 / n, rel=1e-15)
             assert np.all(fields[:-1] > fields[1:])
             curve = lmg_curve(n)
-            assert curve.sector_above[0] == n // 2
-            assert np.array_equal(curve.sector_above, n // 2 - curve.j)
+            assert np.array_equal(curve.j, np.arange(n // 2))
             assert np.array_equal(curve.h, fields)
 
 
