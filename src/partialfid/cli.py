@@ -18,7 +18,7 @@ import errno
 import json
 import os
 import sys
-from itertools import islice, zip_longest
+from itertools import chain, islice, zip_longest
 
 import numpy as np
 
@@ -55,9 +55,10 @@ def _check_output(output):
     raise ConfigError(f"cannot write output {output!r}: {os.strerror(reason)}")
 
 
-def _emit(text, output):
+def _emit(chunks, output):
+    """Write text chunks, in order, to `output` (a path, or "-" for stdout)."""
     if output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         handle = open(output, "w", newline="")
@@ -65,7 +66,7 @@ def _emit(text, output):
         raise ConfigError(
             f"cannot write output {output!r}: {exc.strerror}") from None
     with handle:
-        handle.write(text)
+        handle.writelines(chunks)
 
 
 def _values(column):
@@ -83,8 +84,8 @@ def _spec(column):
     return column, "%s"
 
 
-def _csv_lines(key, columns):
-    """CSV lines of one block.
+def _csv_block(key, columns):
+    """CSV text of one block, one LF-terminated line per row.
 
     The block is cut where a column ends, and each stretch of rows is
     printed through one printf format with an empty field for every column
@@ -96,11 +97,53 @@ def _csv_lines(key, columns):
     lines = []
     for start, stop in zip(ends, ends[1:]):
         row = ",".join(spec if len(column) >= stop else ""
-                       for column, spec in columns)
+                       for column, spec in columns) + "\n"
         lines += [head + row % cells for cells in zip(*(
             islice(column, start, stop)
             for column, _ in columns if len(column) >= stop))]
-    return lines
+    return "".join(lines)
+
+
+def _json_cells(column):
+    """Each value of a number or boolean column as `json.dumps` writes it.
+
+    One `json.dumps` of the whole column writes every value as it would
+    alone, and no number, boolean or null contains the ", " between them.
+    """
+    text = json.dumps(_values(column))
+    return text[1:-1].split(", ") if len(text) > 2 else []
+
+
+def _json_rows(fields, blocks):
+    """The entries of the JSON `rows` array, one indented object per row."""
+    names = [f"      {json.dumps(name)}: " for name in fields]
+    for key, columns in blocks:
+        head = "".join(f"{name}{json.dumps(cell)},\n"
+                       for name, cell in zip(names, key))
+        template = "    {\n" + head.replace("%", "%%") + ",\n".join(
+            f"{name}%s" for name in names[len(key):]) + "\n    }"
+        for cells in zip_longest(*map(_json_cells, columns), fillvalue="null"):
+            yield template % cells
+
+
+def _json_chunks(fields, blocks, document):
+    """Text of `json.dumps(document, indent=2)` and a newline, in chunks.
+
+    The rows of `blocks` fill the empty `rows` array of `document`, one
+    chunk per row.
+    """
+    # the top-level key is the only "rows" on a line indented by two spaces
+    head, empty, tail = json.dumps(document, indent=2).partition(
+        '\n  "rows": []')
+    rows = _json_rows(fields, blocks)
+    first = next(rows, None)
+    if first is None:
+        yield head + empty + tail + "\n"
+        return
+    yield f'{head}\n  "rows": [\n{first}'
+    for row in rows:
+        yield ",\n" + row
+    yield "\n  ]" + tail + "\n"
 
 
 def _write(fields, blocks, output, echo=None, **records):
@@ -109,19 +152,15 @@ def _write(fields, blocks, output, echo=None, **records):
     Key cells are labels (text or integers).  A column is a sequence or a
     numpy array of values of one type, converted to Python values one block
     at a time.  The JSON document is `echo` as `config`, the rows, and
-    `records` as further top-level entries.
+    `records` as further top-level entries.  CSV goes out one block at a
+    time and JSON one row at a time; neither is held as one string.
     """
     if echo is not None:
-        rows = [dict(zip(fields, (*key, *cells)))
-                for key, columns in blocks
-                for cells in zip_longest(*map(_values, columns))]
-        document = {"config": echo, "rows": rows, **records}
-        _emit(json.dumps(document, indent=2) + "\n", output)
+        document = {"config": echo, "rows": [], **records}
+        _emit(_json_chunks(fields, blocks, document), output)
         return
-    lines = [",".join(fields)]
-    for key, columns in blocks:
-        lines += _csv_lines(key, columns)
-    _emit("\n".join(lines) + "\n", output)
+    _emit(chain([",".join(fields) + "\n"],
+                (_csv_block(key, columns) for key, columns in blocks)), output)
 
 
 def _parse_sizes(text):

@@ -33,10 +33,11 @@ def full_system_newton(n, n_down, tol=1e-12, max_iter=50):
 
     The full n_down x n_down Jacobian has 1/(1 + (x_j - x_l)^2/4) off the
     diagonal and 2n/(1 + x_j^2) minus the rest of its row on it.  Returns the
-    ascending roots and the number of Newton steps.
+    ascending roots and the number of Newton steps.  It starts where
+    `solve_bethe` does, so both take the same steps.
     """
     qn = bethe_quantum_numbers(n_down)
-    x = np.tan(np.pi * qn / n)
+    x = np.tan(np.pi * qn / (n - 0.5 * n_down))
     threshold = tol * max(1.0, n / 64.0)
     for steps in range(max_iter + 1):
         d = 0.5 * (x[:, None] - x[None, :])
@@ -166,6 +167,25 @@ class TestSolver:
     def test_newton_converges_in_few_steps(self):
         for n, n_down in [(64, 32), (256, 128), (512, 256)]:
             assert solve_bethe(n, n_down).iterations <= 12
+
+
+class TestDiluteStart:
+    """Newton starts at y_j = tan(pi I_j / (n - n_down/2)), the dilute-limit roots."""
+
+    def test_two_down_spins_start_at_their_root(self):
+        # for n_down = 2 the start is the exact root tan(pi/(2(n-1)))
+        for n in range(4, 8193, 2):
+            roots = solve_bethe(n, 2)
+            exact = math.tan(math.pi / (2.0 * (n - 1)))
+            assert roots.iterations == 0, n
+            assert abs(roots.rapidities[1] - exact) <= math.ulp(exact), n
+            h1 = heisenberg_crossings(n, max_index=1)[1]
+            assert abs(h1 - h1_closed_form(n)) <= math.ulp(h1), n
+
+    def test_total_steps_over_all_sectors(self):
+        # every sector of a 512-spin ring: 754 steps, against 989 from
+        # tan(pi I_j / n)
+        assert sum(solve_bethe(512, k).iterations for k in range(257)) <= 800
 
 
 class TestHalfSystem:

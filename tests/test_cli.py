@@ -20,7 +20,7 @@ from partialfid import (
     solve_bethe,
     validate_bethe,
 )
-from partialfid.cli import main
+from partialfid.cli import CURVE_FIELDS, _write, main
 
 
 def run(capsys, *argv):
@@ -413,3 +413,30 @@ class TestValidate:
         code = main(["validate", "--max-size", "4", "--output", str(path)])
         assert code == 0
         assert path.read_text().startswith("kind,N,sector_or_index")
+
+
+class TestJsonWriter:
+    """JSON rows are written one at a time; the text must equal `json.dumps`."""
+
+    CONFIG = {"command": "curve", "output": '"rows": [] 100%'}
+
+    @pytest.mark.parametrize("blocks, records", [
+        # the last row has no delta_h and chi: both are null
+        ([(("heisenberg", 4), (np.arange(2), np.array([1.0, 0.5]),
+                               np.array([0.9, 0.8]), np.array([0.5]),
+                               np.array([0.84])))], {}),
+        # a block without a single delta_h or chi, and a '%' in a key
+        ([(("100%", 2), ([0], [1.0], [0.75], (), ())),
+          (("lmg", 4), ((0, 1), (0.75, 0.25), (0.9, 0.9), (0.5, 0.5),
+                        (math.nan, math.inf)))], {"fit": {"exponent": 1.0}}),
+        # no rows at all
+        ([(("lmg", 4), ((), (), (), (), ()))], {"fit": {"points_used": 0}}),
+    ], ids=["absent-spacing", "absent-columns", "empty"])
+    def test_matches_json_dumps(self, capsys, blocks, records):
+        _write(CURVE_FIELDS, blocks, "-", self.CONFIG, **records)
+        rows = [dict(zip(CURVE_FIELDS, (*key, *cells)))
+                for key, columns in blocks
+                for cells in zip_longest(*(np.asarray(c).tolist()
+                                           for c in columns))]
+        document = {"config": self.CONFIG, "rows": rows, **records}
+        assert capsys.readouterr().out == json.dumps(document, indent=2) + "\n"
