@@ -11,7 +11,6 @@ from .analysis import (
     PowerLawFit,
     chi_max_scan,
     fit_power_law,
-    min_fidelity,
 )
 from .bethe import (
     BetheRoots,
@@ -40,7 +39,6 @@ from .fidelity import (
     crossing_fidelity,
     crossing_susceptibility,
     fidelity_curve,
-    global_sector_overlap,
     single_site_state,
 )
 from .lmg import (
@@ -72,7 +70,6 @@ __all__ = [
     "ed_sector_ground_energy",
     "fidelity_curve",
     "fit_power_law",
-    "global_sector_overlap",
     "h1_closed_form",
     "heisenberg_crossings",
     "heisenberg_curve",
@@ -82,7 +79,6 @@ __all__ = [
     "lmg_energy",
     "lmg_fidelity",
     "lmg_ground_magnetization",
-    "min_fidelity",
     "sector_energy",
     "sector_epsilon",
     "sector_hamiltonian",

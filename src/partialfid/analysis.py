@@ -1,4 +1,4 @@
-"""Finite-size scaling: curve extrema, chi_max collection, power-law fits."""
+"""Finite-size scaling: chi_max collection and power-law fits."""
 
 from __future__ import annotations
 
@@ -22,12 +22,6 @@ class PowerLawFit:
     log_prefactor: float
     r_squared: float
     points_used: int
-
-    def __post_init__(self):
-        if self.points_used < 3:
-            raise ValueError("a power-law fit needs at least 3 points")
-        if not 0.0 <= self.r_squared <= 1.0:
-            raise ValueError(f"r_squared must lie in [0, 1], got {self.r_squared}")
 
 
 def fit_power_law(points):
@@ -85,12 +79,3 @@ def chi_max_scan(model, sizes, solver=bethe.SolverConfig()):
     chi = crossing_susceptibility(
         crossing_fidelity(n, n // 2, n // 2 - 1), h0 - h1)
     return list(zip(sizes, h0.tolist(), chi.tolist()))
-
-
-def min_fidelity(curve):
-    """Field and value of the smallest fidelity on a `Curve`, ties toward larger h."""
-    if len(curve) == 0:
-        raise ValueError("empty curve")
-    lowest = np.flatnonzero(curve.fidelity == curve.fidelity.min())
-    best = lowest[np.argmax(curve.h[lowest])]
-    return float(curve.h[best]), float(curve.fidelity[best])

@@ -51,9 +51,9 @@ from .fidelity import _check_size, fidelity_curve
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 50
 
-# Largest ring whose full curve (every sector up to half filling) runs without
-# the caller raising the cap; chi_max scans need only n_down <= 2 and are exempt.
-DEFAULT_SIZE_CAP = 1024
+# Largest ring whose full curve (every sector up to half filling) the CLI
+# accepts; the library takes any size, and chi_max scans are not capped.
+SIZE_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class BetheRoots:
             raise ValueError("one quantum number per down spin required")
         if len(self.rapidities) != self.n_down:
             raise ValueError("one rapidity per down spin required")
-        if self.n_down > 1 and not np.all(np.diff(self.rapidities) > 0):
+        if self.n_down > 1 and not (np.diff(self.rapidities) > 0).all():
             raise ValueError("rapidities must be strictly ascending")
 
 
@@ -208,14 +208,13 @@ def sector_epsilon(roots):
     return float((2.0 / (x * x + 1.0)).sum())
 
 
-def sector_energy(n, n_down, h, solver=SolverConfig()):
-    """Ground-state energy n/4 - (n - 2 n_down) h - epsilon of one sector.
+def sector_energy(n, n_down, solver=SolverConfig()):
+    """Zero-field ground-state energy n/4 - epsilon of one sector.
 
-    Affine in h with slope -(n - 2 n_down); the rapidities carry no field
-    dependence.
+    The rapidities carry no field dependence, so a field h adds the Zeeman
+    shift -(n - 2 n_down) h.
     """
-    roots = solve_bethe(n, n_down, solver)
-    return n / 4.0 - (n - 2 * n_down) * h - sector_epsilon(roots)
+    return n / 4.0 - sector_epsilon(solve_bethe(n, n_down, solver))
 
 
 def heisenberg_crossings(n, max_index=None, solver=SolverConfig()):
@@ -252,21 +251,12 @@ def h1_closed_form(n):
     return -1.0 + 2.0 / (t * t + 1.0)
 
 
-def heisenberg_curve(n, solver=SolverConfig(), size_cap=DEFAULT_SIZE_CAP):
+def heisenberg_curve(n, solver=SolverConfig()):
     """Fidelity/susceptibility `Curve` of the ring, one row per crossing.
 
     The spacing delta_h = h_j - h_{j+1} needs the next crossing, so the last
     row (j = n/2 - 1) has no `delta_h` or `chi` entry.  The maximum of chi
-    sits at j = 0.
-
-    Full curves solve every sector up to half filling and are capped at
-    `size_cap` spins; raise the cap explicitly for bigger rings.
+    sits at j = 0.  Every sector up to half filling is solved.
     """
-    if size_cap is not None and n > size_cap:
-        raise ValueError(
-            f"full curve for n={n} solves sectors up to {n // 2} coupled "
-            f"equations; beyond the cap of {size_cap} spins pass a larger "
-            f"size_cap explicitly"
-        )
     fields = heisenberg_crossings(n, solver=solver)
     return fidelity_curve(n, fields, fields[:-1] - fields[1:])

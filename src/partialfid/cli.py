@@ -177,7 +177,8 @@ def cmd_curve(model, sizes, solver, output, echo=None):
     """Emit (model, N, j, h, fidelity, delta_h, chi) rows per crossing per size."""
     curves = [lmg.lmg_curve(n) if model == "lmg"
               else bethe.heisenberg_curve(n, solver=solver) for n in sizes]
-    _write(CURVE_FIELDS, [((model, c.n), (c.j, c.h, c.fidelity, c.delta_h, c.chi))
+    _write(CURVE_FIELDS, [((model, c.n), (np.arange(len(c)), c.h, c.fidelity,
+                                          c.delta_h, c.chi))
                           for c in curves], output, echo)
     return 0
 
@@ -270,6 +271,10 @@ def main(argv=None):
         sizes = _parse_sizes(args.sizes)
         for n in sizes:
             _check_size(n, analysis.SIZE_FLOORS[args.model])
+            if (args.command, args.model) == ("curve", "heisenberg") \
+                    and n > bethe.SIZE_CAP:
+                raise ConfigError(f"heisenberg curve sizes are capped at "
+                                  f"{bethe.SIZE_CAP} spins, got {n}")
         if args.command == "scaling" and len(set(sizes)) < 3:
             raise ConfigError("scaling needs at least 3 distinct sizes")
         echo = None

@@ -5,9 +5,9 @@ basis (a set bit is a down spin) as a sparse CSR matrix and takes its lowest
 eigenvalue by Lanczos iteration, providing ground-state energies that are
 independent of the Bethe-Ansatz route.  Used to validate sector energies,
 crossing fields, and full curves at desk scale; the Zeeman part commutes
-with the sector projection and is added analytically.  Sectors above
-`DIMENSION_CAP` states are refused, and a Bethe value passes validation when
-it lies within `VALIDATION_TOL` of its ED value.
+with the sector projection, so energies are taken at zero field.  Sectors
+above `DIMENSION_CAP` states are refused, and a Bethe value passes
+validation when it lies within `VALIDATION_TOL` of its ED value.
 
 The ring sum runs literally over bonds (i, i+1 mod n), so n = 2 counts its
 single bond twice; n = 2 is therefore excluded from validation.
@@ -126,11 +126,9 @@ def _lowest_eigenvalue(matrix):
                  return_eigenvectors=False)[0]
 
 
-def ed_sector_ground_energy(n, n_down, h):
-    """Lowest sector eigenvalue plus the analytic Zeeman shift -h(n - 2 n_down)."""
-    hamiltonian = sector_hamiltonian(n, n_down)
-    lowest = _lowest_eigenvalue(hamiltonian.matrix)
-    return float(lowest) - h * (n - 2 * n_down)
+def ed_sector_ground_energy(n, n_down):
+    """Sector ground energy at zero field; a field h adds -(n - 2 n_down) h."""
+    return float(_lowest_eigenvalue(sector_hamiltonian(n, n_down).matrix))
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,9 +183,9 @@ def validate_bethe(n, solver=bethe.SolverConfig()):
             f"above the cap of {DIMENSION_CAP}"
         )
     sectors = range(n // 2 + 1)
-    energies_bethe = np.array([bethe.sector_energy(n, k, 0.0, solver=solver)
+    energies_bethe = np.array([bethe.sector_energy(n, k, solver=solver)
                                for k in sectors])
-    energies_ed = np.array([ed_sector_ground_energy(n, k, 0.0) for k in sectors])
+    energies_ed = np.array([ed_sector_ground_energy(n, k) for k in sectors])
     # E(n_down, 0) = n/4 - epsilon(n_down), so the crossing field
     # (epsilon(j+1) - epsilon(j))/2 is half the ED energy drop.
     fields_ed = 0.5 * (energies_ed[:-1] - energies_ed[1:])

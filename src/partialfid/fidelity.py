@@ -4,10 +4,12 @@ Both models treated by this package have ground states with definite total
 magnetization, so the one-site reduced density matrix is diagonal in the
 sigma^z basis: a probability pair (p_up, p_down).  The Uhlmann fidelity
 between two of them reduces to the Bhattacharyya coefficient of the two
-pairs.  Everything here is shared by the model front ends, down to the curve
-builder `fidelity_curve`, to which each model supplies only its crossing
-fields and spacings; the numeric operations accept numpy arrays in place of
-scalars and broadcast elementwise.
+pairs.  Sectors are orthogonal, so the full-state fidelity across any
+crossing is zero; the single-site one is not.  Everything here is shared by
+the model front ends, down to the curve builder `fidelity_curve`, to which
+each model supplies only its crossing fields and spacings; the numeric
+operations accept numpy arrays in place of scalars and broadcast
+elementwise.
 """
 
 from __future__ import annotations
@@ -94,26 +96,25 @@ def crossing_susceptibility(fidelity, delta_h):
 class Curve:
     """Fidelity/susceptibility curve of n spins as numpy columns, one row per crossing.
 
-    Row j is the crossing at field `h[j]` between sector n/2 - j (the ground
-    state just above the field) and sector n/2 - j - 1 below it, with
-    fidelity `fidelity[j]`.  `delta_h[j]` is the distance to the next
-    crossing; the last crossing of a chain may have no successor, so
-    `delta_h` may be shorter than the other columns.  `chi` is computed from
-    `fidelity` and `delta_h` at construction and has the length of `delta_h`.
+    The row index j is implicit: row j is the crossing at field `h[j]`
+    between sector n/2 - j (the ground state just above the field) and
+    sector n/2 - j - 1 below it, with fidelity `fidelity[j]`.  `delta_h[j]`
+    is the distance to the next crossing; the last crossing of a chain may
+    have no successor, so `delta_h` may be shorter than the other columns.
+    `chi` is computed from `fidelity` and `delta_h` at construction and has
+    the length of `delta_h`.
     """
 
     n: int
-    j: np.ndarray
     h: np.ndarray
     fidelity: np.ndarray
     delta_h: np.ndarray
     chi: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        size = len(self.j)
-        if not len(self.h) == len(self.fidelity) == size >= len(self.delta_h):
+        if not len(self.h) == len(self.fidelity) >= len(self.delta_h):
             raise ValueError(
-                "columns j, h and fidelity must have equal lengths, with no "
+                "columns h and fidelity must have equal lengths, with no "
                 "more spacings than crossings")
         if not np.all(self.h > 0.0):
             raise ValueError(f"crossing fields must be positive, got {self.h}")
@@ -123,7 +124,7 @@ class Curve:
             self.fidelity[:len(self.delta_h)], self.delta_h))
 
     def __len__(self):
-        return len(self.j)
+        return len(self.h)
 
 
 def fidelity_curve(n, fields, spacings):
@@ -136,18 +137,6 @@ def fidelity_curve(n, fields, spacings):
     beyond len(spacings) have no successor and carry no susceptibility.
     """
     h = np.asarray(fields, dtype=float)
-    j = np.arange(h.size)
-    above = n // 2 - j
-    return Curve(n, j, h, crossing_fidelity(n, above, above - 1),
+    above = n // 2 - np.arange(h.size)
+    return Curve(n, h, crossing_fidelity(n, above, above - 1),
                  np.asarray(spacings, dtype=float))
-
-
-def global_sector_overlap(m, m_prime):
-    """Overlap of sector ground states at two fields: 1 if same sector, else 0.
-
-    Within a sector the ground state does not depend on the field, and states
-    of different magnetization are orthogonal, so the full-state fidelity is a
-    Kronecker delta in the sector label.  This is what makes the full-state
-    fidelity blind to level crossings and motivates the partial-state one.
-    """
-    return 1.0 if m == m_prime else 0.0

@@ -24,7 +24,6 @@ from partialfid import (
     lmg_chi_max,
     lmg_curve,
     lmg_fidelity,
-    min_fidelity,
     sector_epsilon,
     solve_bethe,
     validate_bethe,
@@ -52,7 +51,9 @@ def test_criterion_1_lmg_fidelity_minimum():
     def body():
         previous_min = 0.0
         for n in (32, 64, 128, 256):
-            h, f = min_fidelity(lmg_curve(n))
+            curve = lmg_curve(n)
+            assert np.argmin(curve.fidelity) == 0
+            h, f = curve.h[0], curve.fidelity.min()
             assert h == 1.0 - 1.0 / n
             assert abs(f - math.sqrt(1.0 - 1.0 / n)) <= 1e-12
             assert f > previous_min
@@ -149,7 +150,7 @@ def test_criterion_7_heisenberg_curve_vs_ed():
         curve = heisenberg_curve(n)
         # sector energies at h = 0 give epsilon(k) = N/4 - E(k), hence the
         # crossing fields, with no Bethe ingredient
-        eps_ed = [n / 4.0 - ed_sector_ground_energy(n, k, 0.0)
+        eps_ed = [n / 4.0 - ed_sector_ground_energy(n, k)
                   for k in range(n // 2 + 1)]
         fields_ed = [0.5 * (eps_ed[j + 1] - eps_ed[j]) for j in range(n // 2)]
         assert len(curve) == len(fields_ed)

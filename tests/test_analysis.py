@@ -6,17 +6,14 @@ import numpy as np
 import pytest
 
 from partialfid import (
-    Curve,
     chi_max_scan,
     crossing_fidelity,
     crossing_susceptibility,
-    fidelity_curve,
     fit_power_law,
     heisenberg_crossings,
     heisenberg_curve,
     lmg_chi_max,
     lmg_curve,
-    min_fidelity,
 )
 
 
@@ -110,35 +107,27 @@ class TestChiMaxScan:
 
 class TestMinFidelity:
     def test_lmg_four_spins(self):
-        h, f = min_fidelity(lmg_curve(4))
-        assert h == 0.75
-        assert f == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-15)
+        curve = lmg_curve(4)
+        assert np.argmin(curve.fidelity) == 0
+        assert curve.h[0] == 0.75
+        assert curve.fidelity.min() == pytest.approx(math.sqrt(3.0) / 2.0,
+                                                     abs=1e-15)
 
     def test_lmg_thirty_two_spins(self):
-        h, f = min_fidelity(lmg_curve(32))
-        assert h == pytest.approx(0.96875, abs=1e-15)
-        assert f == pytest.approx(math.sqrt(31.0 / 32.0), abs=1e-15)
+        curve = lmg_curve(32)
+        assert np.argmin(curve.fidelity) == 0
+        assert curve.h[0] == pytest.approx(0.96875, abs=1e-15)
+        assert curve.fidelity.min() == pytest.approx(math.sqrt(31.0 / 32.0),
+                                                     abs=1e-15)
 
     def test_heisenberg_eight_spins(self):
-        h, f = min_fidelity(heisenberg_curve(8))
-        assert h == pytest.approx(1.0, abs=1e-10)
-        assert f == pytest.approx(math.sqrt(7.0 / 8.0), abs=1e-13)
+        curve = heisenberg_curve(8)
+        assert np.argmin(curve.fidelity) == 0
+        assert curve.h[0] == pytest.approx(1.0, abs=1e-10)
+        assert curve.fidelity.min() == pytest.approx(math.sqrt(7.0 / 8.0),
+                                                     abs=1e-13)
 
     def test_minimum_sits_at_first_crossing_for_both_models(self):
         for build in (lmg_curve, heisenberg_curve):
             for n in (12, 16, 20):
-                curve = build(n)
-                h, _ = min_fidelity(curve)
-                assert h == curve.h[0]
-
-    def test_tie_takes_larger_field(self):
-        def curve(j, h):
-            return Curve(6, np.array(j), np.array(h), np.array([0.5, 0.5]),
-                         np.array([]))
-
-        assert min_fidelity(curve([1, 0], [0.4, 0.9])) == (0.9, 0.5)
-        assert min_fidelity(curve([0, 1], [0.9, 0.4])) == (0.9, 0.5)
-
-    def test_empty_curve(self):
-        with pytest.raises(ValueError):
-            min_fidelity(fidelity_curve(4, [], []))
+                assert np.argmin(build(n).fidelity) == 0

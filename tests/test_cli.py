@@ -284,6 +284,17 @@ class TestCurve:
         assert code == 2
         assert "cap" in err
 
+    def test_size_cap_fails_before_any_solve(self, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a sector before checking the size cap")
+
+        monkeypatch.setattr(bethe, "solve_bethe", no_solve)
+        code, out, err = run(capsys, "curve", "--model", "heisenberg",
+                             "--sizes", "64,1026")
+        assert (code, out, err) == (
+            2, "", "error: heisenberg curve sizes are capped at 1024 spins, "
+                   "got 1026\n")
+
     @pytest.mark.parametrize("argv", [
         ("curve", "--model", "lmg", "--sizes", "3"),
         ("curve", "--model", "heisenberg", "--sizes", "2"),

@@ -136,23 +136,21 @@ class TestHamiltonian:
 
 class TestGroundEnergy:
     def test_polarized_sector_is_classical(self):
-        # aligned ring is an eigenstate: n/4 - n h
-        assert ed_sector_ground_energy(8, 0, 0.5) == pytest.approx(-2.0, abs=1e-14)
+        # aligned ring is an eigenstate: n/4
+        assert ed_sector_ground_energy(8, 0) == pytest.approx(2.0, abs=1e-14)
+        # one down spin lowers it by 2, the Zeeman gap 2h at saturation h = 1
+        assert ed_sector_ground_energy(8, 1) - ed_sector_ground_energy(8, 0) \
+            == pytest.approx(-2.0, abs=1e-12)
 
     def test_half_filling_at_zero_field(self):
-        assert ed_sector_ground_energy(4, 2, 0.0) == pytest.approx(-2.0, abs=1e-12)
-
-    def test_zeeman_shift_is_analytic(self):
-        e0 = ed_sector_ground_energy(8, 3, 0.0)
-        assert ed_sector_ground_energy(8, 3, 0.4) == pytest.approx(
-            e0 - 0.4 * 2, rel=1e-13)
+        assert ed_sector_ground_energy(4, 2) == pytest.approx(-2.0, abs=1e-12)
 
     @pytest.mark.parametrize("n, n_down", [(2, 1), (6, 1), (10, 3), (12, 6)])
     def test_lanczos_matches_dense_spectrum(self, n, n_down):
         # (2, 1) has two states and takes the dense route; the rest go
         # through Lanczos from the fixed start vector
         lowest = np.linalg.eigvalsh(literal_hamiltonian(n, n_down))[0]
-        assert ed_sector_ground_energy(n, n_down, 0.0) == pytest.approx(
+        assert ed_sector_ground_energy(n, n_down) == pytest.approx(
             lowest, abs=1e-12)
 
 

@@ -11,11 +11,9 @@ from partialfid import (
     crossing_fidelity,
     crossing_susceptibility,
     fidelity_curve,
-    global_sector_overlap,
     heisenberg_curve,
     lmg_crossings,
     lmg_curve,
-    lmg_ground_magnetization,
     single_site_state,
 )
 
@@ -157,25 +155,9 @@ class TestCrossingSusceptibility:
             crossing_susceptibility(f, dh)
 
 
-class TestGlobalSectorOverlap:
-    def test_same_sector(self):
-        assert global_sector_overlap(3, 3) == 1.0
-
-    def test_different_sector(self):
-        assert global_sector_overlap(3, 4) == 0.0
-
-    def test_lmg_sectors_across_first_crossing(self):
-        # N = 10: h = 0.85 and h = 0.95 straddle h_0 = 0.9, so the sectors
-        # differ and the full-state overlap collapses to zero.
-        m_low = lmg_ground_magnetization(10, 0.85)
-        m_high = lmg_ground_magnetization(10, 0.95)
-        assert (m_low, m_high) == (4, 5)
-        assert global_sector_overlap(m_low, m_high) == 0.0
-
-
 def hand_curve(**columns):
     """A valid 6-spin Curve with two spacings, with some columns replaced."""
-    valid = {"n": 6, "j": np.array([0, 1, 2]), "h": np.array([0.9, 0.5, 0.1]),
+    valid = {"n": 6, "h": np.array([0.9, 0.5, 0.1]),
              "fidelity": np.array([0.9, 0.95, 0.99]),
              "delta_h": np.array([0.4, 0.4])}
     return Curve(**{**valid, **columns})
@@ -248,8 +230,8 @@ class TestFidelityCurve:
     def test_columns_follow_the_crossing_index(self):
         curve = fidelity_curve(8, lmg_crossings(8), [0.25] * 4)
         assert curve.n == 8
-        assert curve.j.tolist() == [0, 1, 2, 3]
-        above = 8 // 2 - curve.j
+        assert len(curve) == 4
+        above = 8 // 2 - np.arange(len(curve))
         assert above.tolist() == [4, 3, 2, 1]
         assert curve.h.tolist() == [0.875, 0.625, 0.375, 0.125]
         assert np.array_equal(curve.fidelity,

@@ -51,6 +51,9 @@ class TestGroundMagnetization:
     def test_rounds_to_nearest(self):
         # h n/2 = 4.75 -> 5, despite the integer part being 4
         assert lmg_ground_magnetization(10, 0.95) == 5
+        # h = 0.85 and h = 0.95 straddle h_0 = 0.9 of n = 10
+        assert (lmg_ground_magnetization(10, 0.85),
+                lmg_ground_magnetization(10, 0.95)) == (4, 5)
         assert lmg_ground_magnetization(100, 0.513) == 26
 
     def test_tie_takes_larger_sector(self):
@@ -94,7 +97,7 @@ class TestCrossings:
     def test_two_spins(self):
         assert lmg_crossings(2).tolist() == [0.5]
         curve = lmg_curve(2)
-        assert (curve.h.tolist(), (2 // 2 - curve.j).tolist()) == ([0.5], [1])
+        assert (curve.h.tolist(), (2 // 2 - np.arange(len(curve))).tolist()) == ([0.5], [1])
 
     def test_sectors_and_ordering(self):
         for n in (2, 8, 30, 256):
@@ -103,7 +106,7 @@ class TestCrossings:
             assert fields[-1] == pytest.approx(1.0 / n, rel=1e-15)
             assert np.all(fields[:-1] > fields[1:])
             curve = lmg_curve(n)
-            assert np.array_equal(curve.j, np.arange(n // 2))
+            assert len(curve) == n // 2
             assert np.array_equal(curve.h, fields)
 
 
