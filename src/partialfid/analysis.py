@@ -28,14 +28,16 @@ def fit_power_law(points):
     """Fit value = prefactor * size^exponent by unweighted log-log least squares.
 
     Args:
-        points: sequence of (size, value) pairs, all strictly positive,
-            sizes distinct, at least 3 of them.
+        points: sequence of (size, value) pairs, all finite and strictly
+            positive, sizes distinct, at least 3 of them.
     """
     points = list(points)
     if len(points) < 3:
         raise ValueError(f"need at least 3 points, got {len(points)}")
     sizes = np.array([p[0] for p in points], dtype=float)
     values = np.array([p[1] for p in points], dtype=float)
+    if not (np.isfinite(sizes).all() and np.isfinite(values).all()):
+        raise ValueError("sizes and values must be finite")
     if np.any(sizes <= 0.0) or np.any(values <= 0.0):
         raise ValueError("sizes and values must be strictly positive")
     if len(np.unique(sizes)) != len(sizes):

@@ -8,6 +8,10 @@ out as CSV (17 significant digits, LF line endings, an empty field where a
 value is absent) or as JSON: a `config` echo plus a `rows` array with the
 same field names, `null` where a value is absent, and for a `scaling` run
 a `fit` record.  Identical configurations produce byte-identical output.
+Every curve, scan or report is computed before the output is opened, so a
+run that stops on an error writes nothing; the table then goes out a window
+of a fixed number of rows at a time, so the writer's memory is bounded by
+one window whatever the table's length.
 Exit codes: 0 success, 1 numerical failure, 2 usage/config error.
 """
 
@@ -29,6 +33,8 @@ CURVE_FIELDS = ("model", "N", "j", "h", "fidelity", "delta_h", "chi")
 SCALING_FIELDS = ("model", "N", "h_at_max", "chi_max", "exponent", "r_squared")
 VALIDATE_FIELDS = ("kind", "N", "sector_or_index", "bethe", "ed", "difference",
                    "passed")
+# Rows of a block converted and formatted at once by the table writer.
+_WINDOW_ROWS = 2048
 
 
 class ConfigError(ValueError):
@@ -146,15 +152,30 @@ def _json_chunks(fields, blocks, document):
     yield "\n  ]" + tail + "\n"
 
 
+def _windows(blocks):
+    """Each block as blocks of at most `_WINDOW_ROWS` rows, with its key.
+
+    Every column is cut at the same rows, so a column that ends inside a
+    window is absent past the same row as before.
+    """
+    for key, columns in blocks:
+        rows = max(map(len, columns))
+        for start in range(0, rows, _WINDOW_ROWS):
+            yield key, [column[start:start + _WINDOW_ROWS]
+                        for column in columns]
+
+
 def _write(fields, blocks, output, echo=None, **records):
     """Write a table of (key, columns) blocks as CSV, or as JSON given `echo`.
 
     Key cells are labels (text or integers).  A column is a sequence or a
-    numpy array of values of one type, converted to Python values one block
-    at a time.  The JSON document is `echo` as `config`, the rows, and
-    `records` as further top-level entries.  CSV goes out one block at a
-    time and JSON one row at a time; neither is held as one string.
+    numpy array of values of one type.  The JSON document is `echo` as
+    `config`, the rows, and `records` as further top-level entries.  Either
+    format is converted, formatted and written one window of at most
+    `_WINDOW_ROWS` rows at a time, so the writer's memory is bounded by one
+    window whatever the table's length.
     """
+    blocks = _windows(blocks)
     if echo is not None:
         document = {"config": echo, "rows": [], **records}
         _emit(_json_chunks(fields, blocks, document), output)

@@ -58,6 +58,16 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError):
             fit_power_law(points)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("position", ["size", "value"])
+    def test_non_finite_points(self, capfd, bad, position):
+        # unchecked, a bad value gives exponent nan with r^2 = 1, and a bad
+        # size a LinAlgError after LAPACK prints to stderr
+        last = (bad, 3.0) if position == "size" else (3.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law([(1.0, 1.0), (2.0, 2.0), last])
+        assert capfd.readouterr() == ("", "")
+
 
 class TestChiMaxScan:
     def test_lmg_values(self):

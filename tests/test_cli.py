@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from itertools import zip_longest
 from math import comb
 
@@ -14,13 +15,33 @@ from partialfid import (
     SolverConfig,
     bethe,
     chi_max_scan,
+    cli,
     ed,
     fit_power_law,
+    lmg,
     sector_epsilon,
     solve_bethe,
     validate_bethe,
 )
 from partialfid.cli import CURVE_FIELDS, _write, main
+
+
+# Row windows of the table writer besides its default (None): windows of 1
+# and 3 rows put a window edge after every row, and where a short column ends
+# (the N = 8 ring's 3 spacings of 4 crossings).
+WINDOWS = (None, 1, 3)
+
+
+def windowed(cases, ids):
+    """Each case once per window in WINDOWS, the default under its bare id."""
+    return [pytest.param(*case, window,
+                         id=name if window is None else f"{name}-window{window}")
+            for window in WINDOWS for case, name in zip(cases, ids)]
+
+
+def set_window(monkeypatch, window):
+    if window is not None:
+        monkeypatch.setattr(cli, "_WINDOW_ROWS", window)
 
 
 def run(capsys, *argv):
@@ -231,6 +252,16 @@ class TestCurve:
         assert code == 1
         assert "n=12" in err and "n_down=" in err and "residual" in err
 
+    def test_nonconvergence_writes_no_output(self, capsys, tmp_path):
+        # N = 4 converges and N = 12 does not: every curve is computed
+        # before the output is opened, so no partial file is left
+        path = tmp_path / "curve.csv"
+        code, out, _ = run(capsys, "curve", "--model", "heisenberg",
+                           "--sizes", "4,12", "--max-iter", "2",
+                           "--output", str(path))
+        assert (code, out) == (1, "")
+        assert not path.exists()
+
     def test_loose_tolerance_runs(self, capsys):
         code, out, _ = run(capsys, "curve", "--model", "heisenberg",
                            "--sizes", "64", "--tol", "0.05")
@@ -247,11 +278,13 @@ class TestCurve:
         assert out == "" and err.startswith("error: ")
 
     @pytest.mark.parametrize("output_format", ["csv", "json"])
-    @pytest.mark.parametrize("model, sizes", [("lmg", (2, 8, 4000)),
-                                              ("heisenberg", (4, 8, 64))],
-                             ids=["lmg", "heisenberg"])
-    def test_matches_row_dict_reference_bytes(self, capsys, model, sizes,
-                                              output_format):
+    # N = 8200 has 4,100 rows: three default windows
+    @pytest.mark.parametrize("model, sizes, window", windowed(
+        [("lmg", (2, 8, 4000, 8200)), ("heisenberg", (4, 8, 64))],
+        ids=["lmg", "heisenberg"]))
+    def test_matches_row_dict_reference_bytes(self, capsys, monkeypatch, model,
+                                              sizes, window, output_format):
+        set_window(monkeypatch, window)
         code, out, _ = run(capsys, "curve", "--model", model, "--sizes",
                            ",".join(map(str, sizes)), "--format", output_format)
         assert code == 0
@@ -343,12 +376,13 @@ class TestScaling:
         assert document["fit"]["points_used"] == 3
 
     @pytest.mark.parametrize("output_format", ["csv", "json"])
-    @pytest.mark.parametrize("model, sizes", [
+    @pytest.mark.parametrize("model, sizes, window", windowed([
         ("lmg", (64, 128, 256, 512)),
         ("heisenberg", (4, 8, 16, 64, 1024)),
-    ], ids=["lmg", "heisenberg"])
-    def test_matches_row_dict_reference_bytes(self, capsys, model, sizes,
-                                              output_format):
+    ], ids=["lmg", "heisenberg"]))
+    def test_matches_row_dict_reference_bytes(self, capsys, monkeypatch, model,
+                                              sizes, window, output_format):
+        set_window(monkeypatch, window)
         code, out, _ = run(capsys, "scaling", "--model", model, "--sizes",
                            ",".join(map(str, sizes)), "--format", output_format)
         assert code == 0
@@ -381,11 +415,14 @@ class TestValidate:
         assert all(r["passed"] == "true" for r in rows)
         assert all(float(r["difference"]) < 1e-8 for r in rows)
 
-    def test_matches_report_reference_bytes(self, capsys):
-        code, out, err = run(capsys, "validate", "--max-size", "8")
-        assert (code, err) == (0, "")
-        assert out == reference_text(VALIDATE_FIELDS,
-                                     reference_validate_rows(8), "csv")
+    def test_matches_report_reference_bytes(self, capsys, monkeypatch):
+        reference = reference_text(VALIDATE_FIELDS,
+                                   reference_validate_rows(8), "csv")
+        for window in WINDOWS:
+            set_window(monkeypatch, window)
+            code, out, err = run(capsys, "validate", "--max-size", "8")
+            assert (code, err) == (0, "")
+            assert out == reference, f"window {window}"
 
     def test_failures_exit_one_after_the_full_table(self, capsys):
         # a loose solver tolerance leaves some sectors far from ED
@@ -431,7 +468,7 @@ class TestJsonWriter:
 
     CONFIG = {"command": "curve", "output": '"rows": [] 100%'}
 
-    @pytest.mark.parametrize("blocks, records", [
+    @pytest.mark.parametrize("blocks, records, window", windowed([
         # the last row has no delta_h and chi: both are null
         ([(("heisenberg", 4), (np.arange(2), np.array([1.0, 0.5]),
                                np.array([0.9, 0.8]), np.array([0.5]),
@@ -442,8 +479,10 @@ class TestJsonWriter:
                         (math.nan, math.inf)))], {"fit": {"exponent": 1.0}}),
         # no rows at all
         ([(("lmg", 4), ((), (), (), (), ()))], {"fit": {"points_used": 0}}),
-    ], ids=["absent-spacing", "absent-columns", "empty"])
-    def test_matches_json_dumps(self, capsys, blocks, records):
+    ], ids=["absent-spacing", "absent-columns", "empty"]))
+    def test_matches_json_dumps(self, capsys, monkeypatch, blocks, records,
+                                window):
+        set_window(monkeypatch, window)
         _write(CURVE_FIELDS, blocks, "-", self.CONFIG, **records)
         rows = [dict(zip(CURVE_FIELDS, (*key, *cells)))
                 for key, columns in blocks
@@ -451,3 +490,23 @@ class TestJsonWriter:
                                            for c in columns))]
         document = {"config": self.CONFIG, "rows": rows, **records}
         assert capsys.readouterr().out == json.dumps(document, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("echo", [None, {"command": "curve"}],
+                         ids=["csv", "json"])
+def test_writer_memory_is_one_window(tmp_path, echo):
+    """Writing 32,000 rows peaks below 2 MiB of traced memory.
+
+    Formatted as one block, the N = 64000 curve peaks at about 12.8 MiB.
+    """
+    curve = lmg.lmg_curve(64000)
+    assert len(curve) == 32000
+    blocks = [(("lmg", curve.n), (np.arange(len(curve)), curve.h,
+                                  curve.fidelity, curve.delta_h, curve.chi))]
+    tracemalloc.start()
+    try:
+        _write(CURVE_FIELDS, blocks, str(tmp_path / "curve.out"), echo)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
