@@ -29,8 +29,16 @@ Jacobian is symmetric and closed form: off the diagonal dF_j/dy_l =
 K(y_j - y_l) - K(y_j + y_l), and on it 2n/(1 + y_j^2) - (sum_l K(y_j - y_l)
 - 1) - sum_l K(y_j + y_l) - 1/(1 + y_j^2) - odd K(y_j).  Half the unknowns
 make a quarter of the Jacobian and an eighth of the dense solve of the full
-system.  It converges in at most about ten steps at every sector size (8 at
-half filling of n = 512), so the budget is 50 steps.
+system.  Each Newton step is taken in the phases u_j = arctan(y_j), in which
+the leading term 2 n arctan(y_j) is linear: the step s of y becomes
+y = tan(arctan(y) - s / (1 + y^2)).  So a step no longer overshoots the large
+roots, where arctan is flat in y, and a step that takes any u_j outside
+(0, pi/2), where tan would wrap to another branch, is a failure.
+From the dilute start this takes at most 6 steps per sector up to n = 512
+(663 over all 257 sectors of n = 512) and 8 at half filling of n = 2048, so
+the budget is 50 steps.  `heisenberg_crossings` starts each sector from the
+sectors solved before it in the same ring (see there), which took at most
+4 steps per sector in every ring tried up to n = 2048.
 The terms of F grow like n pi, so the convergence threshold on max_j |F_j|
 (the same over the half and the full root set) is tol * max(1, n/64): tol
 itself up to n = 64, and beyond that a fixed multiple (10 to 20 at tol =
@@ -53,7 +61,7 @@ DEFAULT_MAX_ITER = 50
 
 # Largest ring whose full curve (every sector up to half filling) the CLI
 # accepts; the library takes any size, and chi_max scans are not capped.
-SIZE_CAP = 1024
+SIZE_CAP = 2048
 
 
 @dataclass(frozen=True)
@@ -135,12 +143,22 @@ def _check_sector(n, n_down):
         raise ValueError(f"n_down must lie in [0, {n // 2}], got {n_down}")
 
 
-def solve_bethe(n, n_down, solver=SolverConfig()):
+def _dilute_phase(n, n_down, positive):
+    """Phases arctan(y_j) = pi I_j / (n - n_down/2) of the dilute-limit roots."""
+    return np.pi * positive / (n - 0.5 * n_down)
+
+
+def _phases_in_range(u):
+    """True when every phase lies in (0, pi/2), where tan maps it to a positive root."""
+    return bool(((u > 0.0) & (u < 0.5 * np.pi)).all())  # False for NaN
+
+
+def solve_bethe(n, n_down, solver=SolverConfig(), start=None):
     """Solve the ground-state rapidities of sector (n, n_down) by Newton's method.
 
-    Newton runs on the floor(n_down/2) positive roots only (module docstring);
-    the full root set is their mirror image, a zero root for odd n_down, and
-    the roots themselves.
+    Newton runs on the floor(n_down/2) positive roots only, with each step
+    taken in the phases arctan(y) (module docstring); the full root set is
+    their mirror image, a zero root for odd n_down, and the roots themselves.
 
     Args:
         n: ring length, even.
@@ -149,22 +167,35 @@ def solve_bethe(n, n_down, solver=SolverConfig()):
             equation violation, applied as tol * max(1, n/64) since the
             equation terms grow like n pi, and the budget `max_iter` of
             Newton steps before giving up.
+        start: the floor(n_down/2) positive starting roots, in the order of
+            the positive quantum numbers; default the dilute-limit roots
+            tan(pi I_j / (n - n_down/2)).
 
     Returns:
         BetheRoots with all n_down rapidities ascending, the achieved
         residual and the number of Newton steps taken.
 
     Raises:
-        ConvergenceError: threshold not reached within max_iter steps, or a
-            singular Jacobian or non-finite step.
-        ValueError: invalid sector.
+        ConvergenceError: threshold not reached within max_iter steps, a
+            singular Jacobian, or a step that leaves a phase arctan(y_j)
+            outside (0, pi/2) or is not finite.
+        ValueError: invalid sector, or a start of the wrong length or with a
+            root that is not positive and finite.
     """
     _check_sector(n, n_down)
 
     qn = bethe_quantum_numbers(n_down)
     odd = n_down % 2
     positive = qn[n_down - n_down // 2:]
-    y = np.tan(np.pi * positive / (n - 0.5 * n_down))  # dilute-limit roots
+    if start is None:
+        y = np.tan(_dilute_phase(n, n_down, positive))
+    else:
+        y = np.array(start, dtype=float)
+        if y.shape != positive.shape:
+            raise ValueError(f"start must hold {positive.size} roots, "
+                             f"got shape {y.shape}")
+        if not (np.isfinite(y).all() and (y > 0.0).all()):
+            raise ValueError("start roots must be positive and finite")
     size = y.size
     if size == 0:  # the lone zero root of n_down = 1 solves its equation
         return BetheRoots(n, n_down, qn, np.zeros(odd), 0.0, 0)
@@ -175,7 +206,8 @@ def solve_bethe(n, n_down, solver=SolverConfig()):
         # half-differences of each positive root and every root y, -y (and 0)
         half = 0.5 * y
         d = half[:, None] - np.concatenate((half, -half, np.zeros(odd)))
-        f = 2.0 * n * np.arctan(y) - two_pi_qn - 2.0 * np.arctan(d).sum(axis=1)
+        u = np.arctan(y)
+        f = 2.0 * n * u - two_pi_qn - 2.0 * np.arctan(d).sum(axis=1)
         residual = float(np.abs(f).max())
         if residual <= threshold:
             y = np.sort(y)
@@ -196,9 +228,11 @@ def solve_bethe(n, n_down, solver=SolverConfig()):
             step = np.linalg.solve(jacobian, f)
         except np.linalg.LinAlgError:
             raise ConvergenceError(n, n_down, residual, iteration) from None
-        if not np.all(np.isfinite(step)):
+        # the step in the phase u = arctan(y), in which 2 n arctan(y) is linear
+        u -= step / (1.0 + y * y)
+        if not _phases_in_range(u):
             raise ConvergenceError(n, n_down, residual, iteration)
-        y = y - step
+        y = np.tan(u)
     raise ConvergenceError(n, n_down, residual, solver.max_iter)
 
 
@@ -227,16 +261,56 @@ def heisenberg_crossings(n, max_index=None, solver=SolverConfig()):
     `max_index` limits the solve to crossings j <= max_index (a chi_max scan
     needs only j <= 1, i.e. sectors n_down <= 2); the default covers all n/2
     crossings.
+
+    Each sector is one `solve_bethe` call, in order of n_down, and continues
+    the start from the sectors solved before it.  A solved sector with
+    positive roots y_j gives the profile r(t_j) = arctan(y_j) / u0_j at
+    t_j = I_j / (n_down/2), the ratio of each phase to its dilute-limit phase
+    u0_j = pi I_j / (n - n_down/2).  The next sector starts at
+    tan(u0 g(t)), with g = 2 r_{k-1} - r_{k-2} from the last two profiles
+    (interpolated, extended linearly past the last point), or the one
+    profile there is.  Sectors n_down <= 2 have no profile before them, so
+    they start at the dilute limit as in a lone solve, and so does a sector
+    whose continued phases would leave (0, pi/2).  Nothing is kept between
+    calls.
     """
     _check_size(n, floor=4)
     last = n // 2 - 1 if max_index is None else max_index
     if not 0 <= last <= n // 2 - 1:
         raise ValueError(f"max_index must lie in [0, {n // 2 - 1}], got {max_index}")
-    epsilon = np.array([
-        sector_epsilon(solve_bethe(n, k, solver))
-        for k in range(last + 2)
-    ])
+    epsilon = np.empty(last + 2)
+    profiles = []  # (t, r) of the last two sectors solved with positive roots
+    for k in range(last + 2):
+        start = None
+        # sectors from n_down = 2 on give or take a profile, unless the solve
+        # stops at sector 2 (a chi_max scan), where none would be used
+        continued = k >= 2 and last >= 2
+        if continued:
+            positive = bethe_quantum_numbers(k)[k - k // 2:]
+            t, dilute = positive / (0.5 * k), _dilute_phase(n, k, positive)
+        if profiles:
+            g = _ratio(*profiles[-1], t)
+            if len(profiles) == 2:
+                g = 2.0 * g - _ratio(*profiles[-2], t)
+            phase = dilute * g
+            if _phases_in_range(phase):
+                start = np.tan(phase)
+        roots = solve_bethe(n, k, solver, start=start)
+        epsilon[k] = sector_epsilon(roots)
+        if continued:
+            r = np.arctan(roots.rapidities[k - k // 2:]) / dilute
+            profiles = [*profiles[-1:], (t, r)]
     return 0.5 * (epsilon[1:] - epsilon[:-1])
+
+
+def _ratio(t_solved, r_solved, t):
+    """The ratios r_solved at t: interpolated, extended linearly past the last point."""
+    r = np.interp(t, t_solved, r_solved)
+    if t_solved.size > 1:
+        slope = (r_solved[-1] - r_solved[-2]) / (t_solved[-1] - t_solved[-2])
+        past = t > t_solved[-1]
+        r[past] = r_solved[-1] + slope * (t[past] - t_solved[-1])
+    return r
 
 
 def h1_closed_form(n):

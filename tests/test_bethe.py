@@ -8,6 +8,7 @@ import pytest
 from partialfid import (
     ConvergenceError,
     SolverConfig,
+    bethe,
     bethe_quantum_numbers,
     bethe_residual,
     h1_closed_form,
@@ -32,9 +33,10 @@ def full_system_newton(n, n_down, tol=1e-12, max_iter=50):
     """Newton on all n_down coupled equations, no root symmetry assumed.
 
     The full n_down x n_down Jacobian has 1/(1 + (x_j - x_l)^2/4) off the
-    diagonal and 2n/(1 + x_j^2) minus the rest of its row on it.  Returns the
-    ascending roots and the number of Newton steps.  It starts where
-    `solve_bethe` does, so both take the same steps.
+    diagonal and 2n/(1 + x_j^2) minus the rest of its row on it.  Each step
+    s is taken in the phase arctan(x): x = tan(arctan(x) - s / (1 + x^2)).
+    Returns the ascending roots and the number of Newton steps.  It starts
+    and steps as `solve_bethe` does, so both take the same steps.
     """
     qn = bethe_quantum_numbers(n_down)
     x = np.tan(np.pi * qn / (n - 0.5 * n_down))
@@ -48,7 +50,8 @@ def full_system_newton(n, n_down, tol=1e-12, max_iter=50):
         jacobian = 1.0 / (1.0 + d * d)
         np.fill_diagonal(jacobian, 2.0 * n / (1.0 + x * x)
                          - (jacobian.sum(axis=1) - 1.0))
-        x = x - np.linalg.solve(jacobian, f)
+        step = np.linalg.solve(jacobian, f)
+        x = np.tan(np.arctan(x) - step / (1.0 + x * x))
     raise AssertionError(f"full system ({n}, {n_down}) did not converge")
 
 
@@ -110,9 +113,9 @@ class TestSolver:
 
     def test_nonconvergence_reports_sector_and_residual(self):
         with pytest.raises(ConvergenceError) as info:
-            solve_bethe(12, 6, solver=SolverConfig(max_iter=3))
+            solve_bethe(12, 6, solver=SolverConfig(max_iter=2))
         err = info.value
-        assert (err.n, err.n_down, err.iterations) == (12, 6, 3)
+        assert (err.n, err.n_down, err.iterations) == (12, 6, 2)
         assert err.residual > 0.0
         assert "n=12" in str(err) and "n_down=6" in str(err)
 
@@ -156,9 +159,21 @@ class TestSolver:
             solve_bethe(12, 6)
         assert (info.value.n, info.value.n_down) == (12, 6)
 
+    @pytest.mark.parametrize("size", [1e6, -1e6])
+    def test_step_out_of_phase_range_reports_sector(self, monkeypatch, size):
+        # a finite step that takes a phase arctan(y) outside (0, pi/2), where
+        # tan would wrap around to a wrong root, stops at the first step
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, size))
+        with pytest.raises(ConvergenceError) as info:
+            solve_bethe(12, 6)
+        err = info.value
+        assert (err.n, err.n_down, err.iterations) == (12, 6, 0)
+        assert err.residual > 0.0
+        assert "n=12" in str(err) and "n_down=6" in str(err)
+
     def test_tolerance_reachable_at_large_n(self):
-        # (2060, 1030) is the smallest half-filled sector where Newton stalls
-        # above an absolute 1e-12 (at 1.4e-12 in float64); the threshold
+        # in (2060, 1030) Newton stalls above an absolute 1e-12 (at 1.1e-12
+        # in float64), where (2058, 1029) still reaches it; the threshold
         # tol * n / 64 is reachable
         roots = solve_bethe(2060, 1030)
         assert roots.residual <= 1e-12 * 2060 / 64
@@ -166,7 +181,7 @@ class TestSolver:
 
     def test_newton_converges_in_few_steps(self):
         for n, n_down in [(64, 32), (256, 128), (512, 256)]:
-            assert solve_bethe(n, n_down).iterations <= 12
+            assert solve_bethe(n, n_down).iterations <= 8
 
 
 class TestDiluteStart:
@@ -183,9 +198,79 @@ class TestDiluteStart:
             assert abs(h1 - h1_closed_form(n)) <= math.ulp(h1), n
 
     def test_total_steps_over_all_sectors(self):
-        # every sector of a 512-spin ring: 754 steps, against 989 from
-        # tan(pi I_j / n)
-        assert sum(solve_bethe(512, k).iterations for k in range(257)) <= 800
+        # every sector of a 512-spin ring solved alone: 663 steps with the
+        # phase step, 754 with the step in y and 989 from tan(pi I_j / n)
+        assert sum(solve_bethe(512, k).iterations for k in range(257)) <= 700
+
+
+class TestStart:
+    """`start` replaces the dilute-limit start by the caller's positive roots."""
+
+    @pytest.mark.parametrize("start", [
+        [0.1, 0.2],                 # 3 positive roots in sector (12, 6)
+        [0.1, 0.2, 0.3, 0.4],
+        [[0.1, 0.2, 0.3]],
+        [0.1, 0.0, 0.3],
+        [0.1, -0.2, 0.3],
+        [0.1, math.nan, 0.3],
+        [0.1, math.inf, 0.3],
+    ])
+    def test_invalid_start_rejected(self, start):
+        with pytest.raises(ValueError):
+            solve_bethe(12, 6, start=start)
+
+    def test_sectors_without_positive_roots_take_an_empty_start(self):
+        assert solve_bethe(12, 1, start=[]).rapidities.tolist() == [0.0]
+        with pytest.raises(ValueError):
+            solve_bethe(12, 1, start=[0.5])
+
+    @pytest.mark.parametrize("n, n_down", [(12, 5), (64, 32), (256, 127)])
+    def test_solved_roots_take_no_step(self, n, n_down):
+        roots = solve_bethe(n, n_down)
+        again = solve_bethe(n, n_down, start=roots.rapidities[n_down - n_down // 2:])
+        assert again.iterations == 0
+        assert np.array_equal(again.rapidities, roots.rapidities)
+
+
+class TestContinuedStart:
+    """`heisenberg_crossings` starts each sector from the ones solved before it."""
+
+    @pytest.fixture
+    def sector_steps(self, monkeypatch):
+        """Runs `heisenberg_crossings(n)`; returns the steps of each sector solve."""
+        calls = []
+        solve = bethe.solve_bethe
+
+        def counted(n, n_down, *args, **kwargs):
+            roots = solve(n, n_down, *args, **kwargs)
+            calls.append((n_down, roots.iterations))
+            return roots
+
+        monkeypatch.setattr(bethe, "solve_bethe", counted)
+
+        def run(n):
+            calls.clear()
+            heisenberg_crossings(n)
+            # one solve per sector, in order
+            assert [n_down for n_down, _ in calls] == list(range(n // 2 + 1))
+            return [steps for _, steps in calls]
+
+        return run
+
+    def test_total_steps_over_one_ring(self, sector_steps):
+        # 427 steps over the 257 sectors of a 512-spin ring; 663 solved alone
+        assert sum(sector_steps(512)) <= 500
+
+    def test_few_steps_in_every_sector(self, sector_steps):
+        for n in [*range(4, 257, 2), 512]:
+            assert max(sector_steps(n)) <= 5, n
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_fields_match_independent_solves(self, n):
+        eps = np.array([sector_epsilon(solve_bethe(n, k)) for k in range(n // 2 + 1)])
+        fields = heisenberg_crossings(n)
+        assert np.max(np.abs(fields - 0.5 * (eps[1:] - eps[:-1]))) <= 1e-12
+        assert fields[1] == h1_closed_form(n)
 
 
 class TestHalfSystem:
@@ -266,9 +351,13 @@ class TestCrossings:
         assert (12 // 2 - np.arange(len(curve))).tolist() == [6, 5, 4, 3, 2, 1]
 
     def test_max_index_prefix_consistent(self):
-        full = heisenberg_crossings(10)
-        short = heisenberg_crossings(10, max_index=1)
-        assert short.tolist() == full[:2].tolist()
+        # every prefix, so also the ones that stop before the continued start
+        # takes over (max_index <= 1) or just after it
+        for n in (10, 64):
+            full = heisenberg_crossings(n)
+            for max_index in range(n // 2):
+                short = heisenberg_crossings(n, max_index=max_index)
+                assert short.tolist() == full[:max_index + 1].tolist()
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -18,9 +18,8 @@ from partialfid import (
     cli,
     ed,
     fit_power_law,
+    heisenberg_crossings,
     lmg,
-    sector_epsilon,
-    solve_bethe,
     validate_bethe,
 )
 from partialfid.cli import CURVE_FIELDS, _write, main
@@ -57,16 +56,17 @@ def parse_csv(text):
 def reference_curve_rows(model, n):
     """One row dict per crossing, computed crossing by crossing.
 
-    Fields are Python floats, one per crossing; the fidelity is the overlap
-    of the two probability pairs, each divided by its sum; chi is
+    Fields are Python floats, one per crossing; Heisenberg fields come from
+    `heisenberg_crossings`, so this pins the writer's bytes (`test_bethe.py`
+    checks those fields against independent sector solves). The fidelity is
+    the overlap of the two probability pairs, each divided by its sum; chi is
     -2 ln F / delta_h^2, and None past the last spacing.
     """
     if model == "lmg":
         fields = [1.0 - (2 * j + 1) / n for j in range(n // 2)]
         spacings = [2.0 / n] * (n // 2)
     else:
-        eps = [sector_epsilon(solve_bethe(n, k)) for k in range(n // 2 + 1)]
-        fields = [0.5 * (eps[j + 1] - eps[j]) for j in range(n // 2)]
+        fields = heisenberg_crossings(n).tolist()
         spacings = (np.array(fields[:-1]) - np.array(fields[1:])).tolist()
 
     def pair(m):
@@ -313,7 +313,7 @@ class TestCurve:
 
     def test_size_cap_is_a_config_error(self, capsys):
         code, _, err = run(capsys, "curve", "--model", "heisenberg",
-                           "--sizes", "1026")
+                           "--sizes", "2050")
         assert code == 2
         assert "cap" in err
 
@@ -323,10 +323,10 @@ class TestCurve:
 
         monkeypatch.setattr(bethe, "solve_bethe", no_solve)
         code, out, err = run(capsys, "curve", "--model", "heisenberg",
-                             "--sizes", "64,1026")
+                             "--sizes", "64,2050")
         assert (code, out, err) == (
-            2, "", "error: heisenberg curve sizes are capped at 1024 spins, "
-                   "got 1026\n")
+            2, "", "error: heisenberg curve sizes are capped at 2048 spins, "
+                   "got 2050\n")
 
     @pytest.mark.parametrize("argv", [
         ("curve", "--model", "lmg", "--sizes", "3"),
