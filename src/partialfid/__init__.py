@@ -15,7 +15,6 @@ from .analysis import (
 from .bethe import (
     BetheRoots,
     ConvergenceError,
-    SolverConfig,
     bethe_quantum_numbers,
     bethe_residual,
     h1_closed_form,
@@ -59,7 +58,6 @@ __all__ = [
     "Curve",
     "PowerLawFit",
     "SectorHamiltonian",
-    "SolverConfig",
     "ValidationReport",
     "bethe_quantum_numbers",
     "bethe_residual",

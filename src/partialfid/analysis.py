@@ -53,7 +53,7 @@ def fit_power_law(points):
                        min(max(r_squared, 0.0), 1.0), len(points))
 
 
-def chi_max_scan(model, sizes, solver=bethe.SolverConfig()):
+def chi_max_scan(model, sizes):
     """Susceptibility maximum and its field location for each system size.
 
     Both models peak at the first crossing, so only h_0 (and, for the ring,
@@ -75,7 +75,7 @@ def chi_max_scan(model, sizes, solver=bethe.SolverConfig()):
         return [(n, 1.0 - 1.0 / n, lmg.lmg_chi_max(n)) for n in sizes]
     fields = np.empty((len(sizes), 2))  # h_0, h_1 per size
     for row, n in zip(fields, sizes):
-        row[:] = bethe.heisenberg_crossings(n, max_index=1, solver=solver)
+        row[:] = bethe.heisenberg_crossings(n, max_index=1)
     h0, h1 = fields.T
     n = np.array(sizes)
     chi = crossing_susceptibility(

@@ -36,14 +36,17 @@ roots, where arctan is flat in y, and a step that takes any u_j outside
 (0, pi/2), where tan would wrap to another branch, is a failure.
 From the dilute start this takes at most 6 steps per sector up to n = 512
 (663 over all 257 sectors of n = 512) and 8 at half filling of n = 2048, so
-the budget is 50 steps.  `heisenberg_crossings` starts each sector from the
-sectors solved before it in the same ring (see there), which took at most
-4 steps per sector in every ring tried up to n = 2048.
+the budget MAX_ITER is 50 steps.  `heisenberg_crossings` starts each sector
+from the sectors solved before it in the same ring (see there), which took
+at most 4 steps per sector in every ring tried up to n = 2048.
 The terms of F grow like n pi, so the convergence threshold on max_j |F_j|
-(the same over the half and the full root set) is tol * max(1, n/64): tol
-itself up to n = 64, and beyond that a fixed multiple (10 to 20 at tol =
-1e-12) of the float64 spacing near the largest term, which the iteration can
-reach at every n.
+(the same over the half and the full root set) is TOL * max(1, n/64), with
+TOL = 1e-12: TOL itself up to n = 64, and beyond that a fixed multiple (10
+to 20) of the float64 spacing near the largest term, which the iteration can
+reach at every n.  Neither setting is an option.  On the rings n = 64-512,
+TOL = 1e-14 stalls above its threshold at sector (256, 127), TOL = 1e-8
+moves crossing fields by up to 8.3e-10, and every budget of at least 4
+steps gives the same fields to the bit (3 stops at sector (64, 32)).
 """
 
 from __future__ import annotations
@@ -56,30 +59,14 @@ import numpy as np
 
 from .fidelity import _check_size, fidelity_curve
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 50
+# Convergence threshold (scaled by max(1, n/64)) and Newton step budget of
+# every sector solve; read at call time.
+TOL = 1e-12
+MAX_ITER = 50
 
 # Largest ring whose full curve (every sector up to half filling) the CLI
 # accepts; the library takes any size, and chi_max scans are not capped.
 SIZE_CAP = 2048
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Newton solver settings: threshold `tol` and step budget `max_iter`.
-
-    `tol` is the threshold on the maximum equation violation for n <= 64;
-    larger rings use tol * n / 64 (see `solve_bethe`).
-    """
-
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
 
 
 class ConvergenceError(RuntimeError):
@@ -153,20 +140,19 @@ def _phases_in_range(u):
     return bool(((u > 0.0) & (u < 0.5 * np.pi)).all())  # False for NaN
 
 
-def solve_bethe(n, n_down, solver=SolverConfig(), start=None):
+def solve_bethe(n, n_down, start=None):
     """Solve the ground-state rapidities of sector (n, n_down) by Newton's method.
 
     Newton runs on the floor(n_down/2) positive roots only, with each step
     taken in the phases arctan(y) (module docstring); the full root set is
     their mirror image, a zero root for odd n_down, and the roots themselves.
+    It stops once the maximum equation violation is at most
+    TOL * max(1, n/64), since the equation terms grow like n pi, and gives
+    up after MAX_ITER steps.
 
     Args:
         n: ring length, even.
         n_down: number of down spins, 0 <= n_down <= n/2.
-        solver: `SolverConfig` with the threshold `tol` on the maximum
-            equation violation, applied as tol * max(1, n/64) since the
-            equation terms grow like n pi, and the budget `max_iter` of
-            Newton steps before giving up.
         start: the floor(n_down/2) positive starting roots, in the order of
             the positive quantum numbers; default the dilute-limit roots
             tan(pi I_j / (n - n_down/2)).
@@ -176,7 +162,7 @@ def solve_bethe(n, n_down, solver=SolverConfig(), start=None):
         residual and the number of Newton steps taken.
 
     Raises:
-        ConvergenceError: threshold not reached within max_iter steps, a
+        ConvergenceError: threshold not reached within MAX_ITER steps, a
             singular Jacobian, or a step that leaves a phase arctan(y_j)
             outside (0, pi/2) or is not finite.
         ValueError: invalid sector, or a start of the wrong length or with a
@@ -200,9 +186,9 @@ def solve_bethe(n, n_down, solver=SolverConfig(), start=None):
     if size == 0:  # the lone zero root of n_down = 1 solves its equation
         return BetheRoots(n, n_down, qn, np.zeros(odd), 0.0, 0)
 
-    threshold = solver.tol * max(1.0, n / 64.0)  # terms of F grow like n pi
+    threshold = TOL * max(1.0, n / 64.0)  # terms of F grow like n pi
     two_pi_qn = 2.0 * np.pi * positive
-    for iteration in range(solver.max_iter + 1):
+    for iteration in range(MAX_ITER + 1):
         # half-differences of each positive root and every root y, -y (and 0)
         half = 0.5 * y
         d = half[:, None] - np.concatenate((half, -half, np.zeros(odd)))
@@ -213,7 +199,7 @@ def solve_bethe(n, n_down, solver=SolverConfig(), start=None):
             y = np.sort(y)
             x = np.concatenate((-y[::-1], np.zeros(odd), y))
             return BetheRoots(n, n_down, qn, x, residual, iteration)
-        if iteration == solver.max_iter:
+        if iteration == MAX_ITER:
             break
         # K = 1/(1 + d^2) in place of d; dF_j/dy_l = K(y_j - y_l) - K(y_j + y_l)
         np.multiply(d, d, out=d)
@@ -233,7 +219,7 @@ def solve_bethe(n, n_down, solver=SolverConfig(), start=None):
         if not _phases_in_range(u):
             raise ConvergenceError(n, n_down, residual, iteration)
         y = np.tan(u)
-    raise ConvergenceError(n, n_down, residual, solver.max_iter)
+    raise ConvergenceError(n, n_down, residual, MAX_ITER)
 
 
 def sector_epsilon(roots):
@@ -242,16 +228,16 @@ def sector_epsilon(roots):
     return float((2.0 / (x * x + 1.0)).sum())
 
 
-def sector_energy(n, n_down, solver=SolverConfig()):
+def sector_energy(n, n_down):
     """Zero-field ground-state energy n/4 - epsilon of one sector.
 
     The rapidities carry no field dependence, so a field h adds the Zeeman
     shift -(n - 2 n_down) h.
     """
-    return n / 4.0 - sector_epsilon(solve_bethe(n, n_down, solver))
+    return n / 4.0 - sector_epsilon(solve_bethe(n, n_down))
 
 
-def heisenberg_crossings(n, max_index=None, solver=SolverConfig()):
+def heisenberg_crossings(n, max_index=None):
     """Crossing fields h_j = (epsilon(j+1) - epsilon(j))/2, a descending array.
 
     Sector energies are affine in h, so adjacent sectors n_down = j and j+1
@@ -295,7 +281,7 @@ def heisenberg_crossings(n, max_index=None, solver=SolverConfig()):
             phase = dilute * g
             if _phases_in_range(phase):
                 start = np.tan(phase)
-        roots = solve_bethe(n, k, solver, start=start)
+        roots = solve_bethe(n, k, start=start)
         epsilon[k] = sector_epsilon(roots)
         if continued:
             r = np.arctan(roots.rapidities[k - k // 2:]) / dilute
@@ -325,12 +311,12 @@ def h1_closed_form(n):
     return -1.0 + 2.0 / (t * t + 1.0)
 
 
-def heisenberg_curve(n, solver=SolverConfig()):
+def heisenberg_curve(n):
     """Fidelity/susceptibility `Curve` of the ring, one row per crossing.
 
     The spacing delta_h = h_j - h_{j+1} needs the next crossing, so the last
     row (j = n/2 - 1) has no `delta_h` or `chi` entry.  The maximum of chi
     sits at j = 0.  Every sector up to half filling is solved.
     """
-    fields = heisenberg_crossings(n, solver=solver)
+    fields = heisenberg_crossings(n)
     return fidelity_curve(n, fields, fields[:-1] - fields[1:])

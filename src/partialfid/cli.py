@@ -194,23 +194,23 @@ def _parse_sizes(text):
     return sizes
 
 
-def cmd_curve(model, sizes, solver, output, echo=None):
+def cmd_curve(model, sizes, output, echo=None):
     """Emit (model, N, j, h, fidelity, delta_h, chi) rows per crossing per size."""
     curves = [lmg.lmg_curve(n) if model == "lmg"
-              else bethe.heisenberg_curve(n, solver=solver) for n in sizes]
+              else bethe.heisenberg_curve(n) for n in sizes]
     _write(CURVE_FIELDS, [((model, c.n), (np.arange(len(c)), c.h, c.fidelity,
                                           c.delta_h, c.chi))
                           for c in curves], output, echo)
     return 0
 
 
-def cmd_scaling(model, sizes, solver, output, echo=None):
+def cmd_scaling(model, sizes, output, echo=None):
     """Emit per-size (N, h_at_max, chi_max) rows plus the power-law fit.
 
     In CSV the fit is a trailing row with model `fit`; in JSON the rows stop
     at chi_max and the fit is a separate `fit` record.
     """
-    scan = analysis.chi_max_scan(model, sizes, solver=solver)
+    scan = analysis.chi_max_scan(model, sizes)
     fit = analysis.fit_power_law([(n, chi) for n, _, chi in scan])
     columns = tuple(zip(*scan))
     if echo is not None:
@@ -225,14 +225,12 @@ def cmd_scaling(model, sizes, solver, output, echo=None):
     return 0
 
 
-def cmd_validate(max_size, solver, output):
+def cmd_validate(max_size, output):
     """Run the ED oracle against the Bethe route for every even N up to max_size."""
-    _check_size(max_size, floor=4)
-    if max_size > 20:
-        raise ConfigError(f"max-size must be at most 20, got {max_size}")
+    ed._check_ring(max_size)
     tables = []
     for n in range(4, max_size + 1, 2):
-        report = ed.validate_bethe(n, solver=solver)
+        report = ed.validate_bethe(n)
         tables += [(("energy", n), report.sectors),
                    (("crossing", n), report.crossings)]
     _write(VALIDATE_FIELDS, [(key, (np.arange(len(c)), c.bethe, c.ed,
@@ -258,8 +256,6 @@ def _parser():
             p.add_argument("--model", required=True, choices=analysis.MODELS)
             p.add_argument("--sizes", required=True,
                            help="comma list of even system sizes")
-        p.add_argument("--tol", type=float, default=bethe.DEFAULT_TOL)
-        p.add_argument("--max-iter", type=int, default=bethe.DEFAULT_MAX_ITER)
         p.add_argument("--output", default="-", help="file path or - for stdout")
 
     curve = sub.add_parser("curve", help="fidelity/susceptibility curve rows")
@@ -286,9 +282,8 @@ def main(argv=None):
 
     try:
         _check_output(args.output)
-        solver = bethe.SolverConfig(args.tol, args.max_iter)
         if args.command == "validate":
-            return cmd_validate(args.max_size, solver, args.output)
+            return cmd_validate(args.max_size, args.output)
         sizes = _parse_sizes(args.sizes)
         for n in sizes:
             _check_size(n, analysis.SIZE_FLOORS[args.model])
@@ -301,11 +296,11 @@ def main(argv=None):
         echo = None
         if args.format == "json":
             echo = {"command": args.command, "model": args.model,
-                    "sizes": list(sizes), "tol": solver.tol,
-                    "max_iter": solver.max_iter, "format": args.format,
+                    "sizes": list(sizes), "tol": bethe.TOL,
+                    "max_iter": bethe.MAX_ITER, "format": args.format,
                     "output": args.output}
         command = cmd_curve if args.command == "curve" else cmd_scaling
-        return command(args.model, sizes, solver, args.output, echo)
+        return command(args.model, sizes, args.output, echo)
     except bethe.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

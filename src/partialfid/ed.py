@@ -169,12 +169,11 @@ class ValidationReport:
         return bool(self.sectors.passed.all() and self.crossings.passed.all())
 
 
-def validate_bethe(n, solver=bethe.SolverConfig()):
-    """Compare every sector of an n-spin ring against exact diagonalization.
+def _check_ring(n):
+    """Reject a ring that `validate_bethe` cannot take.
 
-    Compares the ground energies at h = 0 of n_down = 0 ... n/2, and the n/2
-    crossing fields recomputed from the ED energies against the Bethe route.
-    Every row is compared; a failure does not stop the run.
+    The ring must be even with n >= 4, and its largest sector, half filling,
+    must lie within `DIMENSION_CAP` states.
     """
     _check_size(n, floor=4)
     if comb(n, n // 2) > DIMENSION_CAP:
@@ -182,13 +181,22 @@ def validate_bethe(n, solver=bethe.SolverConfig()):
             f"half filling of n={n} has dimension {comb(n, n // 2)}, "
             f"above the cap of {DIMENSION_CAP}"
         )
+
+
+def validate_bethe(n):
+    """Compare every sector of an n-spin ring against exact diagonalization.
+
+    Compares the ground energies at h = 0 of n_down = 0 ... n/2, and the n/2
+    crossing fields recomputed from the ED energies against the Bethe route.
+    Every row is compared; a failure does not stop the run.
+    """
+    _check_ring(n)
     sectors = range(n // 2 + 1)
-    energies_bethe = np.array([bethe.sector_energy(n, k, solver=solver)
-                               for k in sectors])
+    energies_bethe = np.array([bethe.sector_energy(n, k) for k in sectors])
     energies_ed = np.array([ed_sector_ground_energy(n, k) for k in sectors])
     # E(n_down, 0) = n/4 - epsilon(n_down), so the crossing field
     # (epsilon(j+1) - epsilon(j))/2 is half the ED energy drop.
     fields_ed = 0.5 * (energies_ed[:-1] - energies_ed[1:])
     return ValidationReport(
         n, Comparison(energies_bethe, energies_ed),
-        Comparison(bethe.heisenberg_crossings(n, solver=solver), fields_ed))
+        Comparison(bethe.heisenberg_crossings(n), fields_ed))

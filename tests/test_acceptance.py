@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from partialfid import (
-    SolverConfig,
+    bethe,
     bhattacharyya_fidelity,
     chi_max_scan,
     crossing_fidelity,
@@ -169,7 +169,7 @@ def test_criterion_7_heisenberg_curve_vs_ed():
     run_criterion(7, "Heisenberg N=12 curve, Bethe vs ED, pointwise", 30.0, body)
 
 
-def test_criterion_8_property_suite():
+def test_criterion_8_property_suite(monkeypatch):
     def body():
         # Bhattacharyya properties on 10^4 random probability pairs
         rng = np.random.default_rng(987654321)
@@ -183,11 +183,11 @@ def test_criterion_8_property_suite():
         assert np.all(f_pq[np.abs(a - b) > 1e-7] < 1.0)
 
         tol = 1e-12
-        solver = SolverConfig(tol=tol)
+        monkeypatch.setattr(bethe, "TOL", tol)
         for n in range(4, 65, 2):
             epsilons = []
             for n_down in range(n // 2 + 1):
-                roots = solve_bethe(n, n_down, solver=solver)
+                roots = solve_bethe(n, n_down)
                 assert roots.residual <= tol
                 # independent scalar-loop residual re-verification
                 recomputed = 0.0

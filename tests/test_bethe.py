@@ -7,7 +7,6 @@ import pytest
 
 from partialfid import (
     ConvergenceError,
-    SolverConfig,
     bethe,
     bethe_quantum_numbers,
     bethe_residual,
@@ -111,9 +110,10 @@ class TestSolver:
         assert np.array_equal(a.rapidities, b.rapidities)
         assert a.residual == b.residual and a.iterations == b.iterations
 
-    def test_nonconvergence_reports_sector_and_residual(self):
+    def test_nonconvergence_reports_sector_and_residual(self, monkeypatch):
+        monkeypatch.setattr(bethe, "MAX_ITER", 2)
         with pytest.raises(ConvergenceError) as info:
-            solve_bethe(12, 6, solver=SolverConfig(max_iter=2))
+            solve_bethe(12, 6)
         err = info.value
         assert (err.n, err.n_down, err.iterations) == (12, 6, 2)
         assert err.residual > 0.0
@@ -124,21 +124,9 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_bethe(n, n_down)
 
-    def test_parameter_domain_errors(self):
-        with pytest.raises(ValueError):
-            solve_bethe(8, 2, solver=SolverConfig(tol=0.0))
-        with pytest.raises(ValueError):
-            solve_bethe(8, 2, solver=SolverConfig(max_iter=-1))
-        for tol in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
-                solve_bethe(8, 2, solver=SolverConfig(tol=tol))
-            with pytest.raises(ValueError):
-                SolverConfig(tol=tol)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iter=-1)
-
-    def test_loose_tolerance_at_half_filling(self):
-        roots = solve_bethe(64, 32, solver=SolverConfig(tol=0.05))
+    def test_loose_tolerance_at_half_filling(self, monkeypatch):
+        monkeypatch.setattr(bethe, "TOL", 0.05)
+        roots = solve_bethe(64, 32)
         assert roots.residual <= 0.05
         assert np.all(np.diff(roots.rapidities) > 0.0)
 
@@ -414,6 +402,7 @@ class TestCurve:
         for n in (8, 12, 24):
             assert np.argmax(heisenberg_curve(n).chi) == 0
 
-    def test_solver_config_reaches_the_solver(self):
+    def test_step_budget_reaches_the_solver(self, monkeypatch):
+        monkeypatch.setattr(bethe, "MAX_ITER", 2)
         with pytest.raises(ConvergenceError):
-            heisenberg_curve(12, solver=SolverConfig(max_iter=2))
+            heisenberg_curve(12)

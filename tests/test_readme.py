@@ -1,0 +1,13 @@
+"""README tests: the Library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+                        flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1, "README holds one python block, the Library one"
+    exec(compile(blocks[0], str(README), "exec"), {})
