@@ -37,7 +37,6 @@ from .fidelity import (
     bhattacharyya_fidelity,
     crossing_fidelity,
     crossing_susceptibility,
-    fidelity_curve,
     single_site_state,
 )
 from .lmg import (
@@ -66,7 +65,6 @@ __all__ = [
     "crossing_fidelity",
     "crossing_susceptibility",
     "ed_sector_ground_energy",
-    "fidelity_curve",
     "fit_power_law",
     "h1_closed_form",
     "heisenberg_crossings",

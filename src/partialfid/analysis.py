@@ -65,11 +65,12 @@ def chi_max_scan(model, sizes):
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-    sizes = sorted(set(int(n) for n in sizes))
+    sizes = sorted(set(sizes))
     if not sizes:
         raise ValueError("at least one size required")
-    for n in sizes:
+    for n in sizes:  # a size that is not an integer is not even
         _check_size(n, SIZE_FLOORS[model])
+    sizes = [int(n) for n in sizes]
 
     if model == "lmg":
         return [(n, 1.0 - 1.0 / n, lmg.lmg_chi_max(n)) for n in sizes]
@@ -78,6 +79,5 @@ def chi_max_scan(model, sizes):
         row[:] = bethe.heisenberg_crossings(n, max_index=1)
     h0, h1 = fields.T
     n = np.array(sizes)
-    chi = crossing_susceptibility(
-        crossing_fidelity(n, n // 2, n // 2 - 1), h0 - h1)
+    chi = crossing_susceptibility(crossing_fidelity(n, 0), h0 - h1)
     return list(zip(sizes, h0.tolist(), chi.tolist()))

@@ -57,7 +57,7 @@ import math
 
 import numpy as np
 
-from .fidelity import _check_size, fidelity_curve
+from .fidelity import Curve, _check_size
 
 # Convergence threshold (scaled by max(1, n/64)) and Newton step budget of
 # every sector solve; read at call time.
@@ -319,4 +319,4 @@ def heisenberg_curve(n):
     sits at j = 0.  Every sector up to half filling is solved.
     """
     fields = heisenberg_crossings(n)
-    return fidelity_curve(n, fields, fields[:-1] - fields[1:])
+    return Curve(n, fields, fields[:-1] - fields[1:])

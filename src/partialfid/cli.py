@@ -52,7 +52,7 @@ def _check_output(output):
     parent = os.path.dirname(output) or "."
     if os.path.isdir(output):
         reason = errno.EISDIR
-    elif not os.path.isdir(parent):
+    elif not output or not os.path.isdir(parent):  # "" names no file
         reason = errno.ENOENT
     elif not os.access(output if os.path.exists(output) else parent, os.W_OK):
         reason = errno.EACCES

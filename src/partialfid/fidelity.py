@@ -5,11 +5,11 @@ magnetization, so the one-site reduced density matrix is diagonal in the
 sigma^z basis: a probability pair (p_up, p_down).  The Uhlmann fidelity
 between two of them reduces to the Bhattacharyya coefficient of the two
 pairs.  Sectors are orthogonal, so the full-state fidelity across any
-crossing is zero; the single-site one is not.  Everything here is shared by
-the model front ends, down to the curve builder `fidelity_curve`, to which
-each model supplies only its crossing fields and spacings; the numeric
-operations accept numpy arrays in place of scalars and broadcast
-elementwise.
+crossing is zero; the single-site one is not.  Crossing j joins sectors
+n/2 - j and n/2 - j - 1 in both models, so its fidelity depends on n and j
+alone, and a model gives a `Curve` only its crossing fields and spacings.
+The numeric operations accept numpy arrays in place of scalars and
+broadcast elementwise.
 """
 
 from __future__ import annotations
@@ -75,10 +75,22 @@ def bhattacharyya_fidelity(p, q):
     return np.minimum(f, 1.0)  # guard rounding at p = q against the bound
 
 
-def crossing_fidelity(n, m_above, m_below):
-    """Fidelity between the single-site states on the two sides of a crossing."""
+def _check_crossing(n, j):
+    """Reject a size `_check_size` rejects, or a crossing index outside [0, n/2 - 1]."""
+    _check_size(n)
+    if np.any(np.asarray(j) < 0) or np.any(np.asarray(j) > n // 2 - 1):
+        raise ValueError(f"crossing index must lie in [0, {n // 2 - 1}], got {j}")
+
+
+def crossing_fidelity(n, j):
+    """Fidelity at crossing j, between sectors n/2 - j and n/2 - j - 1.
+
+    `n` and `j` may be integer arrays, which broadcast.
+    """
+    _check_crossing(n, j)
+    above = n // 2 - j
     return bhattacharyya_fidelity(
-        single_site_state(n, m_above), single_site_state(n, m_below)
+        single_site_state(n, above), single_site_state(n, above - 1)
     )
 
 
@@ -96,47 +108,35 @@ def crossing_susceptibility(fidelity, delta_h):
 class Curve:
     """Fidelity/susceptibility curve of n spins as numpy columns, one row per crossing.
 
-    The row index j is implicit: row j is the crossing at field `h[j]`
-    between sector n/2 - j (the ground state just above the field) and
-    sector n/2 - j - 1 below it, with fidelity `fidelity[j]`.  `delta_h[j]`
+    Built from the fields `h` and spacings `delta_h` (arrays or sequences).
+    Row j is the crossing at field `h[j]` between sector n/2 - j (the ground
+    state just above the field) and sector n/2 - j - 1, so there are at most
+    n/2 rows, and `fidelity[j]` is `crossing_fidelity(n, j)`.  `delta_h[j]`
     is the distance to the next crossing; the last crossing of a chain may
-    have no successor, so `delta_h` may be shorter than the other columns.
-    `chi` is computed from `fidelity` and `delta_h` at construction and has
-    the length of `delta_h`.
+    have no successor, so `delta_h`, and `chi` computed from it, may be
+    shorter than `h`.
     """
 
     n: int
     h: np.ndarray
-    fidelity: np.ndarray
+    fidelity: np.ndarray = field(init=False)
     delta_h: np.ndarray
     chi: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not len(self.h) == len(self.fidelity) >= len(self.delta_h):
-            raise ValueError(
-                "columns h and fidelity must have equal lengths, with no "
-                "more spacings than crossings")
-        if not np.all(self.h > 0.0):
-            raise ValueError(f"crossing fields must be positive, got {self.h}")
-        if not np.all((self.fidelity > 0.0) & (self.fidelity <= 1.0)):
-            raise ValueError(f"fidelity must lie in (0, 1], got {self.fidelity}")
+        h = np.asarray(self.h, dtype=float)
+        delta_h = np.asarray(self.delta_h, dtype=float)
+        if len(delta_h) > len(h):
+            raise ValueError(f"more spacings than fields, lengths "
+                             f"{len(delta_h)} and {len(h)}")
+        if not np.all(h > 0.0):
+            raise ValueError(f"crossing fields must be positive, got {h}")
+        fidelity = crossing_fidelity(self.n, np.arange(len(h)))
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "fidelity", fidelity)
+        object.__setattr__(self, "delta_h", delta_h)
         object.__setattr__(self, "chi", crossing_susceptibility(
-            self.fidelity[:len(self.delta_h)], self.delta_h))
+            fidelity[:len(delta_h)], delta_h))
 
     def __len__(self):
         return len(self.h)
-
-
-def fidelity_curve(n, fields, spacings):
-    """Fidelity/susceptibility curve of n spins, one row per crossing.
-
-    Crossing j, at `fields[j]` (ascending j), joins sectors n/2 - j and
-    n/2 - j - 1, so the crossing fidelity depends only on n and j and every
-    model shares it; a model supplies only its fields and the spacings
-    delta_h (stored as given) from each crossing to the next.  Crossings
-    beyond len(spacings) have no successor and carry no susceptibility.
-    """
-    h = np.asarray(fields, dtype=float)
-    above = n // 2 - np.arange(h.size)
-    return Curve(n, h, crossing_fidelity(n, above, above - 1),
-                 np.asarray(spacings, dtype=float))

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .fidelity import _check_size, fidelity_curve
+from .fidelity import Curve, _check_crossing, _check_size
 
 
 def lmg_energy(n, m, h):
@@ -73,9 +73,7 @@ def lmg_fidelity(n, j):
 
     `j` may be an integer array.
     """
-    _check_size(n)
-    if np.any(np.asarray(j) < 0) or np.any(np.asarray(j) > n // 2 - 1):
-        raise ValueError(f"crossing index must lie in [0, {n // 2 - 1}], got {j}")
+    _check_crossing(n, j)
     j = np.asarray(j, dtype=float)
     return (np.sqrt((n - j) * (n - j - 1.0)) + np.sqrt(j * (j + 1.0))) / n
 
@@ -87,7 +85,7 @@ def lmg_curve(n):
     susceptibility.  The spacing is passed as 2/n itself: differences of the
     float crossing fields are not bitwise equal to it.
     """
-    return fidelity_curve(n, lmg_crossings(n), np.full(n // 2, 2.0 / n))
+    return Curve(n, lmg_crossings(n), np.full(n // 2, 2.0 / n))
 
 
 def lmg_chi_max(n):

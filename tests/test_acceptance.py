@@ -68,7 +68,7 @@ def test_criterion_2_lmg_closed_form_vs_composition():
         for n in range(2, 10_001, 2):
             j = np.arange(n // 2)
             closed = lmg_fidelity(n, j)
-            composed = crossing_fidelity(n, n // 2 - j, n // 2 - j - 1)
+            composed = crossing_fidelity(n, j)
             worst = max(worst, float(np.max(np.abs(closed - composed) / closed)))
         assert worst <= 1e-12, f"worst relative deviation {worst:.3e}"
 
@@ -156,7 +156,7 @@ def test_criterion_7_heisenberg_curve_vs_ed():
         assert len(curve) == len(fields_ed)
         for j in range(len(curve)):
             assert abs(curve.h[j] - fields_ed[j]) < 1e-8
-            f_ed = float(crossing_fidelity(n, n // 2 - j, n // 2 - j - 1))
+            f_ed = float(crossing_fidelity(n, j))
             assert abs(curve.fidelity[j] - f_ed) < 1e-8
             if j + 1 < len(fields_ed):
                 gap_ed = fields_ed[j] - fields_ed[j + 1]

@@ -100,7 +100,7 @@ class TestChiMaxScan:
         expected = []
         for n in sizes:
             h0, h1 = heisenberg_crossings(n, max_index=1).tolist()
-            f = crossing_fidelity(n, n // 2, n // 2 - 1)
+            f = crossing_fidelity(n, 0)
             expected.append((n, h0, float(crossing_susceptibility(f, h0 - h1))))
         assert chi_max_scan("heisenberg", sizes) == expected
 
@@ -113,6 +113,12 @@ class TestChiMaxScan:
             chi_max_scan("heisenberg", (2,))
         with pytest.raises(ValueError):
             chi_max_scan("lmg", ())
+
+    @pytest.mark.parametrize("model", ["lmg", "heisenberg"])
+    def test_non_integer_size_rejected(self, model):
+        # truncating would return a row for N = 64
+        with pytest.raises(ValueError, match="64.5"):
+            chi_max_scan(model, [64.5, 128, 256])
 
 
 class TestMinFidelity:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from partialfid import (
+    BetheRoots,
     ConvergenceError,
     bethe,
     bethe_quantum_numbers,
@@ -70,6 +71,19 @@ class TestQuantumNumbers:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bethe_quantum_numbers(-1)
+
+
+class TestBetheRoots:
+    @pytest.mark.parametrize("quantum_numbers, rapidities, message", [
+        ([-0.5, 0.5], [-1.0, 0.0, 1.0], "one quantum number per down spin"),
+        ([-1.0, 0.0, 1.0], [-1.0, 1.0], "one rapidity per down spin"),
+        ([-1.0, 0.0, 1.0], [-1.0, 1.0, 0.0], "strictly ascending"),
+    ], ids=["quantum_numbers", "rapidities", "order"])
+    def test_inconsistent_roots_rejected(self, quantum_numbers, rapidities,
+                                         message):
+        with pytest.raises(ValueError, match=message):
+            BetheRoots(8, 3, np.array(quantum_numbers), np.array(rapidities),
+                       0.0, 0)
 
 
 class TestSolver:

@@ -48,6 +48,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def output_path(tmp_path, target):
+    """`--output` value of a target under tmp_path; the empty target stays ""."""
+    return str(tmp_path / target) if target else ""
+
+
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
@@ -73,7 +78,7 @@ def reference_curve_rows(model, n):
         up, down = (1.0 + sz) / 2.0, (1.0 - sz) / 2.0
         return up / (up + down), down / (up + down)
 
-    above = n // 2 - np.arange(n // 2)
+    above = np.arange(n // 2, 0, -1)  # sector above each crossing, j ascending
     (p_up, p_down), (q_up, q_down) = pair(above), pair(above - 1)
     fidelity = np.minimum(np.sqrt(p_up * q_up) + np.sqrt(p_down * q_down), 1.0)
     delta_h = np.array(spacings)
@@ -263,12 +268,12 @@ class TestCurve:
         assert (code, out) == (1, "")
         assert not path.exists()
 
-    @pytest.mark.parametrize("target", ["directory", "missing/out.csv"])
+    @pytest.mark.parametrize("target", ["directory", "missing/out.csv", ""])
     def test_unwritable_output_is_a_config_error(self, capsys, tmp_path,
                                                  target):
         (tmp_path / "directory").mkdir()
         code, out, err = run(capsys, "curve", "--model", "lmg", "--sizes", "4",
-                             "--output", str(tmp_path / target))
+                             "--output", output_path(tmp_path, target))
         assert code == 2
         assert out == "" and err.startswith("error: ")
 
@@ -290,7 +295,7 @@ class TestCurve:
                     else '"delta_h": null,\n      "chi": null\n')
             assert out.count(last) == len(sizes)
 
-    @pytest.mark.parametrize("target", ["directory", "missing/out.csv"])
+    @pytest.mark.parametrize("target", ["directory", "missing/out.csv", ""])
     @pytest.mark.parametrize("argv", [
         ("curve", "--model", "heisenberg", "--sizes", "8"),
         ("validate", "--max-size", "8"),
@@ -302,7 +307,8 @@ class TestCurve:
 
         monkeypatch.setattr(bethe, "solve_bethe", no_solve)
         (tmp_path / "directory").mkdir()
-        code, out, err = run(capsys, *argv, "--output", str(tmp_path / target))
+        code, out, err = run(capsys, *argv, "--output",
+                             output_path(tmp_path, target))
         assert code == 2
         assert out == "" and err.startswith("error: cannot write output ")
 

@@ -10,7 +10,6 @@ from partialfid import (
     bhattacharyya_fidelity,
     crossing_fidelity,
     crossing_susceptibility,
-    fidelity_curve,
     heisenberg_curve,
     lmg_crossings,
     lmg_curve,
@@ -109,22 +108,29 @@ class TestBhattacharyya:
 
 class TestCrossingFidelity:
     def test_polarized_pair(self):
-        f = crossing_fidelity(8, 4, 3)
+        f = crossing_fidelity(8, 0)
         assert f == pytest.approx(math.sqrt(7.0 / 8.0), abs=1e-15)
 
     def test_matches_half_angle_form(self):
         # (sqrt(6) + sqrt(2))/4 at the last crossing of the 4-spin model
-        f = crossing_fidelity(4, 1, 0)
+        f = crossing_fidelity(4, 1)
         assert f == pytest.approx((math.sqrt(6) + math.sqrt(2)) / 4.0, abs=1e-15)
 
     def test_equal_sectors_give_one(self):
         for n, m in [(4, 0), (8, 2), (100, 50)]:
-            assert crossing_fidelity(n, m, m) == 1.0
+            state = single_site_state(n, m)
+            assert bhattacharyya_fidelity(state, single_site_state(n, m)) == 1.0
 
     def test_adjacent_sectors_below_one(self):
         for n in (2, 4, 8, 50, 300):
-            for m in range(1, n // 2 + 1):
-                assert crossing_fidelity(n, m, m - 1) < 1.0
+            for j in range(n // 2):
+                assert crossing_fidelity(n, j) < 1.0
+
+    @pytest.mark.parametrize("n, j", [(8, -1), (8, 4), (2, 1),
+                                      (8, np.array([0, 4]))])
+    def test_index_outside_the_crossings_rejected(self, n, j):
+        with pytest.raises(ValueError, match="crossing index"):
+            crossing_fidelity(n, j)
 
 
 class TestCrossingSusceptibility:
@@ -158,23 +164,22 @@ class TestCrossingSusceptibility:
 def hand_curve(**columns):
     """A valid 6-spin Curve with two spacings, with some columns replaced."""
     valid = {"n": 6, "h": np.array([0.9, 0.5, 0.1]),
-             "fidelity": np.array([0.9, 0.95, 0.99]),
              "delta_h": np.array([0.4, 0.4])}
     return Curve(**{**valid, **columns})
 
 
-class TestCrossingPoint:
+class TestCurve:
     def test_nonpositive_field_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             hand_curve(h=np.array([0.9, 0.5, 0.0]))
 
-
-class TestCurvePoint:
     def test_chi_must_recompute(self):
         curve = hand_curve()
         assert np.array_equal(curve.chi, crossing_susceptibility(
             curve.fidelity[:2], curve.delta_h))
-        assert curve.chi[0] == float(crossing_susceptibility(0.9, 0.4))
+        # F_0 = sqrt(5/6) at n = 6, so chi_0 = -ln(5/6) / 0.4^2
+        assert curve.chi[0] == pytest.approx(-math.log(5.0 / 6.0) / 0.16,
+                                             rel=1e-14)
 
     def test_chi_and_delta_h_together(self):
         curve = lmg_curve(8)
@@ -187,26 +192,22 @@ class TestCurvePoint:
         assert len(curve) == 3
         assert curve.delta_h.size == 0 and curve.chi.size == 0
 
-    def test_fidelity_range_enforced(self):
-        with pytest.raises(ValueError, match="fidelity"):
-            hand_curve(fidelity=np.array([0.9, 0.0, 0.99]))
-        with pytest.raises(ValueError, match="fidelity"):
-            hand_curve(fidelity=np.array([0.9, 0.95, 1.0 + 1e-9]))
-        # a fidelity past the last spacing is checked too
-        with pytest.raises(ValueError, match="fidelity"):
-            hand_curve(fidelity=np.array([0.9, 0.95, 0.0]))
-
     def test_columns_of_unequal_length_rejected(self):
         with pytest.raises(ValueError, match="lengths"):
-            hand_curve(h=np.array([0.9, 0.5]))
-        with pytest.raises(ValueError, match="lengths"):
-            hand_curve(fidelity=np.array([0.9, 0.95, 0.99, 0.999]))
+            hand_curve(h=np.array([0.9]))
 
     def test_nonpositive_spacing_rejected(self):
         with pytest.raises(ValueError, match="delta_h"):
             hand_curve(delta_h=np.array([0.4, 0.0]))
         with pytest.raises(ValueError, match="delta_h"):
             hand_curve(delta_h=np.array([-0.4, 0.4]))
+
+    def test_more_rows_than_crossings_rejected(self):
+        # a 4-spin ring has crossings j = 0, 1 only; rows 2 and 3 would pair
+        # sectors 0/-1 and -1/-2
+        with pytest.raises(ValueError, match="crossing index"):
+            Curve(4, [0.9, 0.5, 0.3, 0.1], [])
+        assert len(Curve(4, [0.9, 0.5], [])) == 2
 
 
 class TestFidelityCurve:
@@ -216,7 +217,7 @@ class TestFidelityCurve:
                 lmg_curve(n).fidelity.tolist()
 
     def test_crossings_beyond_spacings_carry_no_chi(self):
-        curve = fidelity_curve(8, lmg_crossings(8), [0.25, 0.25])
+        curve = Curve(8, lmg_crossings(8), [0.25, 0.25])
         assert len(curve) == 4
         assert curve.delta_h.tolist() == [0.25, 0.25]
         assert curve.chi[0] == float(crossing_susceptibility(curve.fidelity[0],
@@ -225,14 +226,17 @@ class TestFidelityCurve:
 
     def test_more_spacings_than_crossings_rejected(self):
         with pytest.raises(ValueError):
-            fidelity_curve(8, lmg_crossings(8), [0.25] * 5)
+            Curve(8, lmg_crossings(8), [0.25] * 5)
 
     def test_columns_follow_the_crossing_index(self):
-        curve = fidelity_curve(8, lmg_crossings(8), [0.25] * 4)
+        curve = Curve(8, lmg_crossings(8), [0.25] * 4)
         assert curve.n == 8
         assert len(curve) == 4
-        above = 8 // 2 - np.arange(len(curve))
-        assert above.tolist() == [4, 3, 2, 1]
         assert curve.h.tolist() == [0.875, 0.625, 0.375, 0.125]
         assert np.array_equal(curve.fidelity,
-                              crossing_fidelity(8, above, above - 1))
+                              crossing_fidelity(8, np.arange(4)))
+        # row j pairs sectors 4 - j and 3 - j
+        assert curve.fidelity.tolist() == [
+            float(bhattacharyya_fidelity(single_site_state(8, m),
+                                         single_site_state(8, m - 1)))
+            for m in (4, 3, 2, 1)]

@@ -139,7 +139,7 @@ class TestCurve:
         for n in (2, 4, 26, 1000):
             j = np.arange(n // 2)
             closed = lmg_fidelity(n, j)
-            composed = crossing_fidelity(n, n // 2 - j, n // 2 - j - 1)
+            composed = crossing_fidelity(n, j)
             assert np.max(np.abs(closed - composed) / closed) <= 1e-12
 
     def test_minimum_at_first_crossing(self):
