@@ -20,7 +20,6 @@ from .bethe import (
     h1_closed_form,
     heisenberg_crossings,
     heisenberg_curve,
-    sector_energy,
     sector_epsilon,
     solve_bethe,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "lmg_energy",
     "lmg_fidelity",
     "lmg_ground_magnetization",
-    "sector_energy",
     "sector_epsilon",
     "sector_hamiltonian",
     "single_site_state",

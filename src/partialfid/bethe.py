@@ -228,15 +228,6 @@ def sector_epsilon(roots):
     return float((2.0 / (x * x + 1.0)).sum())
 
 
-def sector_energy(n, n_down):
-    """Zero-field ground-state energy n/4 - epsilon of one sector.
-
-    The rapidities carry no field dependence, so a field h adds the Zeeman
-    shift -(n - 2 n_down) h.
-    """
-    return n / 4.0 - sector_epsilon(solve_bethe(n, n_down))
-
-
 def heisenberg_crossings(n, max_index=None):
     """Crossing fields h_j = (epsilon(j+1) - epsilon(j))/2, a descending array.
 

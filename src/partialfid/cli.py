@@ -9,9 +9,10 @@ value is absent) or as JSON: a `config` echo plus a `rows` array with the
 same field names, `null` where a value is absent, and for a `scaling` run
 a `fit` record.  Identical configurations produce byte-identical output.
 Every curve, scan or report is computed before the output is opened, so a
-run that stops on an error writes nothing; the table then goes out a window
-of a fixed number of rows at a time, so the writer's memory is bounded by
-one window whatever the table's length.
+run that stops on an error writes nothing.  Both formats share one path:
+the table goes out a window of a fixed number of rows at a time, each
+column of a window becomes text cells, and the cells become rows, so the
+writer's memory is bounded by one window whatever the table's length.
 Exit codes: 0 success, 1 numerical failure, 2 usage/config error.
 """
 
@@ -22,7 +23,7 @@ import errno
 import json
 import os
 import sys
-from itertools import chain, islice, zip_longest
+from itertools import zip_longest
 
 import numpy as np
 
@@ -34,7 +35,7 @@ SCALING_FIELDS = ("model", "N", "h_at_max", "chi_max", "exponent", "r_squared")
 VALIDATE_FIELDS = ("kind", "N", "sector_or_index", "bethe", "ed", "difference",
                    "passed")
 # Rows of a block converted and formatted at once by the table writer.
-_WINDOW_ROWS = 2048
+_WINDOW_ROWS = 1024
 
 
 class ConfigError(ValueError):
@@ -75,113 +76,87 @@ def _emit(chunks, output):
         handle.writelines(chunks)
 
 
-def _values(column):
-    """Python values of a column; numpy arrays give Python ints and floats."""
-    return column.tolist() if isinstance(column, np.ndarray) else column
+def _cells(column, json_format):
+    """Text cells of one window of a number or boolean column.
 
-
-def _spec(column):
-    """Column as printf cells with their conversion: %.17g floats, true/false."""
-    column = _values(column)
-    if column and isinstance(column[0], float):
-        return column, "%.17g"
-    if column and isinstance(column[0], bool):
-        return ["true" if value else "false" for value in column], "%s"
-    return column, "%s"
-
-
-def _csv_block(key, columns):
-    """CSV text of one block, one LF-terminated line per row.
-
-    The block is cut where a column ends, and each stretch of rows is
-    printed through one printf format with an empty field for every column
-    past its end.
+    JSON cells are the values as `json.dumps` writes them: one `json.dumps`
+    of the whole column writes every value as it would alone, and no number,
+    boolean or null contains the ", " between them.  CSV writes floats
+    through one `%.17g` format over the whole column, and integers and
+    booleans (`true`/`false`) as JSON does.
     """
-    head = "".join(f"{cell}," for cell in key)
-    columns = [_spec(column) for column in columns]
-    ends = sorted({0, *(len(column) for column, _ in columns)})
-    lines = []
-    for start, stop in zip(ends, ends[1:]):
-        row = ",".join(spec if len(column) >= stop else ""
-                       for column, spec in columns) + "\n"
-        lines += [head + row % cells for cells in zip(*(
-            islice(column, start, stop)
-            for column, _ in columns if len(column) >= stop))]
-    return "".join(lines)
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    if not values:
+        return []
+    if json_format or not isinstance(values[0], float):
+        return json.dumps(values)[1:-1].split(", ")
+    return (",".join(["%.17g"] * len(values)) % tuple(values)).split(",")
 
 
-def _json_cells(column):
-    """Each value of a number or boolean column as `json.dumps` writes it.
+def _rows(blocks, json_format):
+    """Each window of at most `_WINDOW_ROWS` rows of a block, with its key.
 
-    One `json.dumps` of the whole column writes every value as it would
-    alone, and no number, boolean or null contains the ", " between them.
+    A window comes as its block's key and an iterator over its rows, each a
+    tuple of text cells.  Every column is cut at the same rows, so a column
+    shorter than its block is absent (`null`, or an empty CSV field) in the
+    rows past its end, whichever window they fall in.
     """
-    text = json.dumps(_values(column))
-    return text[1:-1].split(", ") if len(text) > 2 else []
-
-
-def _json_rows(fields, blocks):
-    """The entries of the JSON `rows` array, one indented object per row."""
-    names = [f"      {json.dumps(name)}: " for name in fields]
+    absent = "null" if json_format else ""
     for key, columns in blocks:
-        head = "".join(f"{name}{json.dumps(cell)},\n"
-                       for name, cell in zip(names, key))
-        template = "    {\n" + head.replace("%", "%%") + ",\n".join(
-            f"{name}%s" for name in names[len(key):]) + "\n    }"
-        for cells in zip_longest(*map(_json_cells, columns), fillvalue="null"):
-            yield template % cells
+        for start in range(0, max(map(len, columns)), _WINDOW_ROWS):
+            yield key, zip_longest(*(
+                _cells(column[start:start + _WINDOW_ROWS], json_format)
+                for column in columns), fillvalue=absent)
 
 
 def _json_chunks(fields, blocks, document):
     """Text of `json.dumps(document, indent=2)` and a newline, in chunks.
 
     The rows of `blocks` fill the empty `rows` array of `document`, one
-    chunk per row.
+    chunk per window.
     """
     # the top-level key is the only "rows" on a line indented by two spaces
     head, empty, tail = json.dumps(document, indent=2).partition(
         '\n  "rows": []')
-    rows = _json_rows(fields, blocks)
-    first = next(rows, None)
-    if first is None:
+    names = [f"      {json.dumps(name)}: " for name in fields]
+    opening = separator = f'{head}\n  "rows": [\n'
+    for key, rows in _rows(blocks, json_format=True):
+        labels = "".join(f"{name}{json.dumps(cell)},\n"
+                         for name, cell in zip(names, key))
+        template = "    {\n" + labels.replace("%", "%%") + ",\n".join(
+            f"{name}%s" for name in names[len(key):]) + "\n    }"
+        yield separator + ",\n".join(map(template.__mod__, rows))
+        separator = ",\n"
+    if separator is opening:  # no rows
         yield head + empty + tail + "\n"
-        return
-    yield f'{head}\n  "rows": [\n{first}'
-    for row in rows:
-        yield ",\n" + row
-    yield "\n  ]" + tail + "\n"
+    else:
+        yield "\n  ]" + tail + "\n"
 
 
-def _windows(blocks):
-    """Each block as blocks of at most `_WINDOW_ROWS` rows, with its key.
-
-    Every column is cut at the same rows, so a column that ends inside a
-    window is absent past the same row as before.
-    """
-    for key, columns in blocks:
-        rows = max(map(len, columns))
-        for start in range(0, rows, _WINDOW_ROWS):
-            yield key, [column[start:start + _WINDOW_ROWS]
-                        for column in columns]
+def _csv_chunks(fields, blocks):
+    """CSV text of the table, one chunk per window, LF-terminated lines."""
+    yield ",".join(fields) + "\n"
+    for key, rows in _rows(blocks, json_format=False):
+        head = "".join(f"{cell}," for cell in key)
+        yield head + f"\n{head}".join(map(",".join, rows)) + "\n"
 
 
 def _write(fields, blocks, output, echo=None, **records):
     """Write a table of (key, columns) blocks as CSV, or as JSON given `echo`.
 
     Key cells are labels (text or integers).  A column is a sequence or a
-    numpy array of values of one type.  The JSON document is `echo` as
-    `config`, the rows, and `records` as further top-level entries.  Either
-    format is converted, formatted and written one window of at most
-    `_WINDOW_ROWS` rows at a time, so the writer's memory is bounded by one
-    window whatever the table's length.
+    numpy array of numbers or booleans, all of one type.  The JSON document
+    is `echo` as `config`, the rows, and `records` as further top-level
+    entries.  Both formats share one path: each window of at most
+    `_WINDOW_ROWS` rows is turned into text cells column by column, then
+    into rows, and written before the next, so the writer's memory is
+    bounded by one window whatever the table's length.
     """
-    blocks = _windows(blocks)
-    if echo is not None:
+    if echo is None:
+        _emit(_csv_chunks(fields, blocks), output)
+    else:
         document = {"config": echo, "rows": [], **records}
         _emit(_json_chunks(fields, blocks, document), output)
-        return
-    _emit(chain([",".join(fields) + "\n"],
-                (_csv_block(key, columns) for key, columns in blocks)), output)
 
 
 def _parse_sizes(text):

@@ -192,7 +192,8 @@ def validate_bethe(n):
     """
     _check_ring(n)
     sectors = range(n // 2 + 1)
-    energies_bethe = np.array([bethe.sector_energy(n, k) for k in sectors])
+    energies_bethe = np.array([n / 4.0 - bethe.sector_epsilon(
+        bethe.solve_bethe(n, k)) for k in sectors])
     energies_ed = np.array([ed_sector_ground_energy(n, k) for k in sectors])
     # E(n_down, 0) = n/4 - epsilon(n_down), so the crossing field
     # (epsilon(j+1) - epsilon(j))/2 is half the ED energy drop.

@@ -43,7 +43,7 @@ def single_site_state(n, m):
     broadcast.
     """
     _check_size(n)
-    if np.any(np.abs(np.asarray(m)) > n // 2):
+    if not np.all(np.abs(np.asarray(m)) <= n // 2):
         raise ValueError(f"|m| must not exceed n/2 = {n // 2}, got m = {m}")
     sz = 2.0 * m / n
     return (1.0 + sz) / 2.0, (1.0 - sz) / 2.0
@@ -52,10 +52,10 @@ def single_site_state(n, m):
 def _normalized(pair):
     """Check a probability pair and divide it by its sum."""
     p_up, p_down = pair
-    if np.any(np.asarray(p_up) < 0.0) or np.any(np.asarray(p_down) < 0.0):
+    if not np.all((np.asarray(p_up) >= 0.0) & (np.asarray(p_down) >= 0.0)):
         raise ValueError("probabilities must be nonnegative")
     total = p_up + p_down
-    if np.any(np.abs(np.asarray(total) - 1.0) > NORMALIZATION_DRIFT):
+    if not np.all(np.abs(np.asarray(total) - 1.0) <= NORMALIZATION_DRIFT):
         raise ValueError(
             f"p_up + p_down = {total!r} differs from 1 by more than "
             f"{NORMALIZATION_DRIFT}"
@@ -76,10 +76,13 @@ def bhattacharyya_fidelity(p, q):
 
 
 def _check_crossing(n, j):
-    """Reject a size `_check_size` rejects, or a crossing index outside [0, n/2 - 1]."""
+    """Reject a size `_check_size` rejects, or j not an integer in [0, n/2 - 1]."""
     _check_size(n)
-    if np.any(np.asarray(j) < 0) or np.any(np.asarray(j) > n // 2 - 1):
-        raise ValueError(f"crossing index must lie in [0, {n // 2 - 1}], got {j}")
+    index = np.asarray(j)
+    integral = index == np.floor(index)
+    if not np.all((index >= 0) & (index <= n // 2 - 1) & integral):
+        raise ValueError(f"crossing index must be an integer in "
+                         f"[0, {n // 2 - 1}], got {j}")
 
 
 def crossing_fidelity(n, j):
@@ -96,10 +99,11 @@ def crossing_fidelity(n, j):
 
 def crossing_susceptibility(fidelity, delta_h):
     """Susceptibility -2 ln(F) / delta_h^2 of a fidelity drop over a spacing."""
-    if np.any(np.asarray(fidelity) <= 0.0) or np.any(np.asarray(fidelity) > 1.0):
+    f, dh = np.asarray(fidelity), np.asarray(delta_h)
+    if not np.all((f > 0.0) & (f <= 1.0)):
         raise ValueError(f"fidelity must lie in (0, 1], got {fidelity}")
-    if np.any(np.asarray(delta_h) <= 0.0):
-        raise ValueError(f"delta_h must be positive, got {delta_h}")
+    if not np.all((dh > 0.0) & np.isfinite(dh)):
+        raise ValueError(f"delta_h must be positive and finite, got {delta_h}")
     # + 0.0 turns the -0.0 arising at F = 1 into 0.0
     return -2.0 * np.log(fidelity) / (delta_h * delta_h) + 0.0
 
@@ -129,8 +133,9 @@ class Curve:
         if len(delta_h) > len(h):
             raise ValueError(f"more spacings than fields, lengths "
                              f"{len(delta_h)} and {len(h)}")
-        if not np.all(h > 0.0):
-            raise ValueError(f"crossing fields must be positive, got {h}")
+        if not np.all((h > 0.0) & np.isfinite(h)):
+            raise ValueError(f"crossing fields must be positive and finite, "
+                             f"got {h}")
         fidelity = crossing_fidelity(self.n, np.arange(len(h)))
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "fidelity", fidelity)

@@ -156,7 +156,8 @@ def test_criterion_7_heisenberg_curve_vs_ed():
         assert len(curve) == len(fields_ed)
         for j in range(len(curve)):
             assert abs(curve.h[j] - fields_ed[j]) < 1e-8
-            f_ed = float(crossing_fidelity(n, j))
+            # the closed form, not the `crossing_fidelity` behind the column
+            f_ed = float(lmg_fidelity(n, j))
             assert abs(curve.fidelity[j] - f_ed) < 1e-8
             if j + 1 < len(fields_ed):
                 gap_ed = fields_ed[j] - fields_ed[j + 1]

@@ -14,7 +14,6 @@ from partialfid import (
     h1_closed_form,
     heisenberg_crossings,
     heisenberg_curve,
-    sector_energy,
     sector_epsilon,
     solve_bethe,
 )
@@ -303,7 +302,7 @@ class TestSectorEnergy:
     def test_empty_sector_values(self):
         roots = solve_bethe(8, 0)
         assert sector_epsilon(roots) == 0.0
-        assert sector_energy(8, 0) == 2.0
+        assert 8 / 4.0 - sector_epsilon(roots) == 2.0
 
     def test_single_down_spin_epsilon(self):
         assert sector_epsilon(solve_bethe(8, 1)) == 2.0
@@ -314,13 +313,16 @@ class TestSectorEnergy:
         assert eps == pytest.approx(2.0 + 2.0 * math.cos(math.pi / 7.0), abs=1e-12)
 
     def test_degeneracy_at_saturation_field(self):
-        # the Zeeman shifts differ by 2h, so the sectors cross at h = 1
-        assert sector_energy(8, 1) - sector_energy(8, 0) == pytest.approx(
-            -2.0, abs=1e-13)
+        # zero-field energies n/4 - epsilon; the Zeeman shifts differ by 2h,
+        # so the sectors cross at h = 1
+        e0 = 8 / 4.0 - sector_epsilon(solve_bethe(8, 0))
+        e1 = 8 / 4.0 - sector_epsilon(solve_bethe(8, 1))
+        assert e1 - e0 == pytest.approx(-2.0, abs=1e-13)
 
     def test_half_filling_matches_known_ground_energy(self):
         # antiferromagnetic 8-site ring
-        assert sector_energy(8, 4) == pytest.approx(-3.6510934089, abs=1e-9)
+        assert 8 / 4.0 - sector_epsilon(solve_bethe(8, 4)) == pytest.approx(
+            -3.6510934089, abs=1e-9)
 
     def test_epsilon_strictly_increasing(self):
         for n in (8, 20, 64):

@@ -497,7 +497,7 @@ class TestJsonWriter:
 @pytest.mark.parametrize("echo", [None, {"command": "curve"}],
                          ids=["csv", "json"])
 def test_writer_memory_is_one_window(tmp_path, echo):
-    """Writing 32,000 rows peaks below 2 MiB of traced memory.
+    """Writing 32,000 rows peaks below 1 MiB of traced memory.
 
     Formatted as one block, the N = 64000 curve peaks at about 12.8 MiB.
     """
@@ -511,4 +511,4 @@ def test_writer_memory_is_one_window(tmp_path, echo):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert peak < 2**20

@@ -13,6 +13,7 @@ from partialfid import (
     heisenberg_curve,
     lmg_crossings,
     lmg_curve,
+    lmg_fidelity,
     single_site_state,
 )
 
@@ -240,3 +241,26 @@ class TestFidelityCurve:
             float(bhattacharyya_fidelity(single_site_state(8, m),
                                          single_site_state(8, m - 1)))
             for m in (4, 3, 2, 1)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: crossing_susceptibility(0.9, math.nan),
+    lambda: crossing_susceptibility(math.nan, 0.1),
+    lambda: crossing_susceptibility(0.9, math.inf),
+    lambda: Curve(4, [1.0, 0.5], [math.nan]),
+    lambda: Curve(4, [1.0, 0.5], [math.inf]),
+    lambda: Curve(4, [math.inf, 0.5], [0.5]),
+    lambda: bhattacharyya_fidelity((math.nan, 0.5), (0.5, 0.5)),
+    lambda: single_site_state(4, math.nan),
+    lambda: crossing_fidelity(4, math.nan),
+    lambda: crossing_fidelity(4, 0.5),
+    lambda: lmg_fidelity(4, np.array([0.0, 0.5])),
+], ids=["chi-nan-spacing", "chi-nan-fidelity", "chi-infinite-spacing",
+        "curve-nan-spacing", "curve-infinite-spacing", "curve-infinite-field",
+        "nan-probability",
+        "nan-magnetization", "nan-crossing", "fractional-crossing",
+        "lmg-fractional-crossing"])
+def test_nan_infinite_and_fractional_inputs_rejected(call):
+    # each range check is "all in range", which NaN fails
+    with pytest.raises(ValueError):
+        call()
