@@ -57,27 +57,33 @@ def chi_max_scan(model, sizes):
     """Susceptibility maximum and its field location for each system size.
 
     Both models peak at the first crossing, so only h_0 (and, for the ring,
-    h_1 for the spacing) is needed: the ring solves sectors n_down <= 2
-    regardless of size.  Returns (n, h_at_max, chi_max) triples, deduplicated
-    and in ascending n.
+    h_1 for the spacing) is needed.  The ring solves the sectors
+    n_down = 0, 1, 2 of every size with `bethe.solve_bethe`, three calls per
+    size, sector by sector into one array of rapidities, and takes the
+    sector values epsilon, the fields and chi for all sizes at once; each
+    value equals its `heisenberg_curve` counterpart bit for bit.  Returns
+    (n, h_at_max, chi_max) triples, deduplicated and in ascending n.
 
-    Sizes must be even, >= 2 for lmg and >= 4 for heisenberg.
+    Sizes must be even integers, >= 2 for lmg and >= 4 for heisenberg.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     sizes = sorted(set(sizes))
     if not sizes:
         raise ValueError("at least one size required")
-    for n in sizes:  # a size that is not an integer is not even
+    for n in sizes:
         _check_size(n, SIZE_FLOORS[model])
     sizes = [int(n) for n in sizes]
 
     if model == "lmg":
         return [(n, 1.0 - 1.0 / n, lmg.lmg_chi_max(n)) for n in sizes]
-    fields = np.empty((len(sizes), 2))  # h_0, h_1 per size
-    for row, n in zip(fields, sizes):
-        row[:] = bethe.heisenberg_crossings(n, max_index=1)
-    h0, h1 = fields.T
+    epsilon = np.empty((3, len(sizes)))  # sectors n_down = 0, 1, 2 per size
+    for k, row in enumerate(epsilon):
+        x = np.empty((len(sizes), k))
+        for roots, n in zip(x, sizes):
+            roots[:] = bethe.solve_bethe(n, k).rapidities
+        row[:] = bethe._epsilon(x)
+    h0, h1 = 0.5 * (epsilon[1:] - epsilon[:-1])
     n = np.array(sizes)
     chi = crossing_susceptibility(crossing_fidelity(n, 0), h0 - h1)
     return list(zip(sizes, h0.tolist(), chi.tolist()))

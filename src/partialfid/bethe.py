@@ -24,10 +24,12 @@ It starts from the dilute-limit roots y_j = tan(pi I_j / (n - n_down/2)):
 for small roots, which sum to zero, sum_l 2 arctan((x_j - x_l)/2) is about
 n_down x_j, itself about n_down arctan(x_j).  For n_down = 2 this start is
 the exact root tan(pi/(2(n-1))), so sectors with at most two down spins
-take no Newton step.  With K(d) = 1/(1 + d^2/4) the
-Jacobian is symmetric and closed form: off the diagonal dF_j/dy_l =
-K(y_j - y_l) - K(y_j + y_l), and on it 2n/(1 + y_j^2) - (sum_l K(y_j - y_l)
-- 1) - sum_l K(y_j + y_l) - 1/(1 + y_j^2) - odd K(y_j).  Half the unknowns
+take no Newton step; a chi_max scan (`analysis.chi_max_scan`) needs only
+these sectors and solves them by lone calls, three per size.  With
+K(d) = 1/(1 + d^2/4) the Jacobian is symmetric and closed form: off the
+diagonal dF_j/dy_l = K(y_j - y_l) - K(y_j + y_l), and on it
+2n/(1 + y_j^2) - (sum_l K(y_j - y_l) - 1) - sum_l K(y_j + y_l)
+- 1/(1 + y_j^2) - odd K(y_j).  Half the unknowns
 make a quarter of the Jacobian and an eighth of the dense solve of the full
 system.  Each Newton step is taken in the phases u_j = arctan(y_j), in which
 the leading term 2 n arctan(y_j) is linear: the step s of y becomes
@@ -57,7 +59,7 @@ import math
 
 import numpy as np
 
-from .fidelity import Curve, _check_size
+from .fidelity import Curve, _check_size, _is_integer
 
 # Convergence threshold (scaled by max(1, n/64)) and Newton step budget of
 # every sector solve; read at call time.
@@ -99,7 +101,8 @@ class BetheRoots:
             raise ValueError("one quantum number per down spin required")
         if len(self.rapidities) != self.n_down:
             raise ValueError("one rapidity per down spin required")
-        if self.n_down > 1 and not (np.diff(self.rapidities) > 0).all():
+        x = self.rapidities
+        if self.n_down > 1 and not (x[1:] > x[:-1]).all():
             raise ValueError("rapidities must be strictly ascending")
 
 
@@ -107,10 +110,11 @@ def bethe_quantum_numbers(n_down):
     """Ground-state quantum numbers -(n_down-1)/2, ..., (n_down-1)/2, unit step.
 
     Integers for odd n_down, half-odd-integers for even; empty for n_down = 0.
+    One float `arange` between half-integer bounds, exact in float64.
     """
-    if n_down < 0:
-        raise ValueError(f"n_down must be nonnegative, got {n_down}")
-    return np.arange(n_down) - (n_down - 1) / 2.0
+    if not _is_integer(n_down) or n_down < 0:
+        raise ValueError(f"n_down must be a nonnegative integer, got {n_down}")
+    return np.arange(-0.5 * (n_down - 1), 0.5 * n_down)
 
 
 def bethe_residual(n, quantum_numbers, rapidities):
@@ -126,8 +130,9 @@ def bethe_residual(n, quantum_numbers, rapidities):
 
 def _check_sector(n, n_down):
     _check_size(n)
-    if not 0 <= n_down <= n // 2:
-        raise ValueError(f"n_down must lie in [0, {n // 2}], got {n_down}")
+    if not (_is_integer(n_down) and 0 <= n_down <= n // 2):
+        raise ValueError(f"n_down must be an integer in [0, {n // 2}], "
+                         f"got {n_down}")
 
 
 def _dilute_phase(n, n_down, positive):
@@ -173,18 +178,18 @@ def solve_bethe(n, n_down, start=None):
     qn = bethe_quantum_numbers(n_down)
     odd = n_down % 2
     positive = qn[n_down - n_down // 2:]
-    if start is None:
-        y = np.tan(_dilute_phase(n, n_down, positive))
-    else:
+    if start is not None:
         y = np.array(start, dtype=float)
         if y.shape != positive.shape:
             raise ValueError(f"start must hold {positive.size} roots, "
                              f"got shape {y.shape}")
         if not (np.isfinite(y).all() and (y > 0.0).all()):
             raise ValueError("start roots must be positive and finite")
-    size = y.size
+    size = positive.size
     if size == 0:  # the lone zero root of n_down = 1 solves its equation
         return BetheRoots(n, n_down, qn, np.zeros(odd), 0.0, 0)
+    if start is None:
+        y = np.tan(_dilute_phase(n, n_down, positive))
 
     threshold = TOL * max(1.0, n / 64.0)  # terms of F grow like n pi
     two_pi_qn = 2.0 * np.pi * positive
@@ -196,7 +201,7 @@ def solve_bethe(n, n_down, start=None):
         f = 2.0 * n * u - two_pi_qn - 2.0 * np.arctan(d).sum(axis=1)
         residual = float(np.abs(f).max())
         if residual <= threshold:
-            y = np.sort(y)
+            y.sort()  # y is this call's own array
             x = np.concatenate((-y[::-1], np.zeros(odd), y))
             return BetheRoots(n, n_down, qn, x, residual, iteration)
         if iteration == MAX_ITER:
@@ -222,22 +227,24 @@ def solve_bethe(n, n_down, start=None):
     raise ConvergenceError(n, n_down, residual, MAX_ITER)
 
 
+def _epsilon(x):
+    """sum_j 2/(x_j^2 + 1) over the last axis of rapidities x, one per row."""
+    return np.add.reduce(2.0 / (x * x + 1.0), axis=-1)
+
+
 def sector_epsilon(roots):
     """Field-independent energy contribution sum_j 2/(x_j^2 + 1) of the roots."""
-    x = roots.rapidities
-    return float((2.0 / (x * x + 1.0)).sum())
+    return float(_epsilon(roots.rapidities))
 
 
-def heisenberg_crossings(n, max_index=None):
+def heisenberg_crossings(n):
     """Crossing fields h_j = (epsilon(j+1) - epsilon(j))/2, a descending array.
 
     Sector energies are affine in h, so adjacent sectors n_down = j and j+1
     (magnetizations n/2 - j and n/2 - j - 1) are degenerate exactly where the
-    epsilon difference says; no field grid is involved.
-
-    `max_index` limits the solve to crossings j <= max_index (a chi_max scan
-    needs only j <= 1, i.e. sectors n_down <= 2); the default covers all n/2
-    crossings.
+    epsilon difference says; no field grid is involved.  All n/2 crossings
+    are returned.  A chi_max scan needs only h_0 and h_1, the sectors
+    n_down <= 2, and solves those itself (`analysis.chi_max_scan`).
 
     Each sector is one `solve_bethe` call, in order of n_down, and continues
     the start from the sectors solved before it.  A solved sector with
@@ -252,16 +259,11 @@ def heisenberg_crossings(n, max_index=None):
     calls.
     """
     _check_size(n, floor=4)
-    last = n // 2 - 1 if max_index is None else max_index
-    if not 0 <= last <= n // 2 - 1:
-        raise ValueError(f"max_index must lie in [0, {n // 2 - 1}], got {max_index}")
-    epsilon = np.empty(last + 2)
+    epsilon = np.empty(n // 2 + 1)
     profiles = []  # (t, r) of the last two sectors solved with positive roots
-    for k in range(last + 2):
+    for k in range(n // 2 + 1):
         start = None
-        # sectors from n_down = 2 on give or take a profile, unless the solve
-        # stops at sector 2 (a chi_max scan), where none would be used
-        continued = k >= 2 and last >= 2
+        continued = k >= 2  # sectors with a positive root give or take a profile
         if continued:
             positive = bethe_quantum_numbers(k)[k - k // 2:]
             t, dilute = positive / (0.5 * k), _dilute_phase(n, k, positive)

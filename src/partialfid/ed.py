@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from . import bethe
-from .fidelity import _check_size
+from .fidelity import _check_size, _is_integer
 
 DIMENSION_CAP = 200_000  # covers n = 20 at half filling (184,756)
 VALIDATION_TOL = 1e-8
@@ -46,8 +46,8 @@ def _sector_states(n, n_down):
     if n > 62:
         raise ValueError(f"states are 64-bit integers: ring length must be "
                          f"<= 62, got {n}")
-    if not 0 <= n_down <= n:
-        raise ValueError(f"n_down must lie in [0, {n}], got {n_down}")
+    if not (_is_integer(n_down) and 0 <= n_down <= n):
+        raise ValueError(f"n_down must be an integer in [0, {n}], got {n_down}")
     dim = comb(n, n_down)
     if dim > DIMENSION_CAP:
         raise ValueError(

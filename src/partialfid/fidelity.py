@@ -23,16 +23,27 @@ import numpy as np
 NORMALIZATION_DRIFT = 1e-12
 
 
+def _is_integer(value):
+    """True for an int or numpy integer, or an array of integers.
+
+    A float is refused even when integral, 8.0 like 8.5, so every size, sector
+    and crossing index is an integer at every entry point.
+    """
+    return (isinstance(value, (int, np.integer))
+            or np.asarray(value).dtype.kind in "iu")
+
+
 def _check_size(n, floor=2):
-    """Reject a system size that is odd or below `floor` spins.
+    """Reject a system size that is not an even integer of at least `floor` spins.
 
     `n` may be an integer array; every entry must pass.
     """
-    invalid = (n < floor) | (n % 2 != 0)
+    invalid = not _is_integer(n) or (n < floor) | (n % 2 != 0)
     if isinstance(invalid, np.ndarray):  # one scalar size needs no array reduction
         invalid = invalid.any()
     if invalid:
-        raise ValueError(f"number of spins must be even and >= {floor}, got {n}")
+        raise ValueError(f"number of spins must be an even integer >= {floor}, "
+                         f"got {n}")
 
 
 def single_site_state(n, m):
@@ -43,8 +54,9 @@ def single_site_state(n, m):
     broadcast.
     """
     _check_size(n)
-    if not np.all(np.abs(np.asarray(m)) <= n // 2):
-        raise ValueError(f"|m| must not exceed n/2 = {n // 2}, got m = {m}")
+    if not (_is_integer(m) and np.all(np.abs(np.asarray(m)) <= n // 2)):
+        raise ValueError(f"m must be an integer with |m| <= n/2 = {n // 2}, "
+                         f"got m = {m}")
     sz = 2.0 * m / n
     return (1.0 + sz) / 2.0, (1.0 - sz) / 2.0
 
@@ -79,8 +91,7 @@ def _check_crossing(n, j):
     """Reject a size `_check_size` rejects, or j not an integer in [0, n/2 - 1]."""
     _check_size(n)
     index = np.asarray(j)
-    integral = index == np.floor(index)
-    if not np.all((index >= 0) & (index <= n // 2 - 1) & integral):
+    if not (_is_integer(j) and np.all((index >= 0) & (index <= n // 2 - 1))):
         raise ValueError(f"crossing index must be an integer in "
                          f"[0, {n // 2 - 1}], got {j}")
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .fidelity import Curve, _check_crossing, _check_size
+from .fidelity import Curve, _check_crossing, _check_size, _is_integer
 
 
 def lmg_energy(n, m, h):
@@ -23,8 +23,8 @@ def lmg_energy(n, m, h):
     The sector |S = n/2, M = m> needs 0 <= m <= n/2.
     """
     _check_size(n)
-    if not 0 <= m <= n // 2:
-        raise ValueError(f"m must lie in [0, {n // 2}], got {m}")
+    if not (_is_integer(m) and 0 <= m <= n // 2):
+        raise ValueError(f"m must be an integer in [0, {n // 2}], got {m}")
     if h < 0.0:
         raise ValueError(f"field must be nonnegative, got {h}")
     return (2.0 / n) * (m - h * n / 2.0) ** 2 - (n / 2.0) * (1.0 + h * h)

@@ -88,7 +88,7 @@ def test_criterion_3_lmg_chi_max_asymptote_and_fit():
 def test_criterion_4_heisenberg_closed_forms():
     def body():
         for n in (8, 16, 32, 64):
-            h0, h1 = heisenberg_crossings(n, max_index=1).tolist()
+            h0, h1 = heisenberg_crossings(n)[:2].tolist()
             assert abs(h0 - 1.0) <= 1e-10
             assert abs(h1 - h1_closed_form(n)) <= 1e-10
             if n >= 32:

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from partialfid import (
+    bethe,
     chi_max_scan,
     crossing_fidelity,
     crossing_susceptibility,
     fit_power_law,
-    heisenberg_crossings,
     heisenberg_curve,
     lmg_chi_max,
     lmg_curve,
+    sector_epsilon,
+    solve_bethe,
 )
 
 
@@ -99,10 +101,31 @@ class TestChiMaxScan:
         sizes = list(range(4, 301, 2)) + [1024, 4096, 8192]
         expected = []
         for n in sizes:
-            h0, h1 = heisenberg_crossings(n, max_index=1).tolist()
+            e0, e1, e2 = (sector_epsilon(solve_bethe(n, k)) for k in range(3))
+            h0, h1 = 0.5 * (e1 - e0), 0.5 * (e2 - e1)
             f = crossing_fidelity(n, 0)
             expected.append((n, h0, float(crossing_susceptibility(f, h0 - h1))))
         assert chi_max_scan("heisenberg", sizes) == expected
+
+    def test_rows_equal_curve_route(self):
+        # the batched scan against the curve, bit for bit, at every even N
+        sizes = range(4, 65, 2)
+        for n, h, chi in chi_max_scan("heisenberg", sizes):
+            curve = heisenberg_curve(n)
+            assert (h, chi) == (curve.h[0], curve.chi[0]), n
+
+    def test_three_solves_per_distinct_size(self, monkeypatch):
+        calls = []
+
+        def counted(n, n_down, start=None):
+            calls.append((n, n_down))
+            return solve_bethe(n, n_down, start)
+
+        monkeypatch.setattr(bethe, "solve_bethe", counted)
+        sizes = [64, 8, 64, 10, 8192, 8]
+        chi_max_scan("heisenberg", sizes)
+        assert sorted(calls) == [(n, k) for n in sorted(set(sizes))
+                                 for k in range(3)]
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

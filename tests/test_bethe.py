@@ -195,7 +195,8 @@ class TestDiluteStart:
             exact = math.tan(math.pi / (2.0 * (n - 1)))
             assert roots.iterations == 0, n
             assert abs(roots.rapidities[1] - exact) <= math.ulp(exact), n
-            h1 = heisenberg_crossings(n, max_index=1)[1]
+            # h_1 as the curve and the chi_max scan both form it
+            h1 = 0.5 * (sector_epsilon(roots) - sector_epsilon(solve_bethe(n, 1)))
             assert abs(h1 - h1_closed_form(n)) <= math.ulp(h1), n
 
     def test_total_steps_over_all_sectors(self):
@@ -333,11 +334,11 @@ class TestSectorEnergy:
 class TestCrossings:
     def test_first_field_is_saturation(self):
         for n in (4, 8, 16, 64):
-            assert heisenberg_crossings(n, max_index=0)[0] == \
+            assert heisenberg_crossings(n)[0] == \
                 pytest.approx(1.0, abs=1e-10)
 
     def test_second_field_closed_form(self):
-        crossings = heisenberg_crossings(8, max_index=1)
+        crossings = heisenberg_crossings(8)
         assert crossings[1] == pytest.approx(-1.0 + 2.0 / (
             math.tan(math.pi / 14.0) ** 2 + 1.0), abs=1e-10)
 
@@ -354,22 +355,11 @@ class TestCrossings:
         assert len(curve) == 6
         assert (12 // 2 - np.arange(len(curve))).tolist() == [6, 5, 4, 3, 2, 1]
 
-    def test_max_index_prefix_consistent(self):
-        # every prefix, so also the ones that stop before the continued start
-        # takes over (max_index <= 1) or just after it
-        for n in (10, 64):
-            full = heisenberg_crossings(n)
-            for max_index in range(n // 2):
-                short = heisenberg_crossings(n, max_index=max_index)
-                assert short.tolist() == full[:max_index + 1].tolist()
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             heisenberg_crossings(2)
         with pytest.raises(ValueError):
             heisenberg_crossings(9)
-        with pytest.raises(ValueError):
-            heisenberg_crossings(8, max_index=4)
 
 
 class TestH1ClosedForm:
@@ -384,7 +374,7 @@ class TestH1ClosedForm:
 
     def test_matches_generic_solver(self):
         for n in (8, 16, 32, 64):
-            solver_h1 = heisenberg_crossings(n, max_index=1)[1]
+            solver_h1 = heisenberg_crossings(n)[1]
             assert abs(solver_h1 - h1_closed_form(n)) < 1e-10
 
     def test_gap_approaches_large_n_form_from_below(self):

@@ -1,20 +1,26 @@
 """Kernel tests: probability pairs, Bhattacharyya fidelity, susceptibility, curves."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from partialfid import (
     Curve,
+    bethe_quantum_numbers,
     bhattacharyya_fidelity,
+    chi_max_scan,
     crossing_fidelity,
     crossing_susceptibility,
+    ed_sector_ground_energy,
     heisenberg_curve,
     lmg_crossings,
     lmg_curve,
+    lmg_energy,
     lmg_fidelity,
     single_site_state,
+    solve_bethe,
 )
 
 
@@ -263,4 +269,26 @@ class TestFidelityCurve:
 def test_nan_infinite_and_fractional_inputs_rejected(call):
     # each range check is "all in range", which NaN fails
     with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: solve_bethe(8, 1.5), "1.5"),
+    (lambda: solve_bethe(8.0, 2), "8.0"),
+    (lambda: bethe_quantum_numbers(2.0), "2.0"),
+    (lambda: ed_sector_ground_energy(8, 1.5), "1.5"),
+    (lambda: lmg_curve(8.0), "8.0"),
+    (lambda: heisenberg_curve(8.0), "8.0"),
+    (lambda: chi_max_scan("heisenberg", [8, 10, 12.0]), "12.0"),
+    (lambda: single_site_state(4, 0.5), "0.5"),
+    (lambda: single_site_state(4, 1.0), "1.0"),
+    (lambda: crossing_fidelity(8, 1.0), "1.0"),
+    (lambda: lmg_energy(4, 1.5, 0.0), "1.5"),
+], ids=["bethe-fractional-sector", "bethe-float-size", "float-quantum-count",
+        "ed-fractional-sector", "lmg-float-size", "heisenberg-float-size",
+        "scan-float-size", "fractional-magnetization", "float-magnetization",
+        "float-crossing", "lmg-fractional-magnetization"])
+def test_non_integer_size_or_index_rejected(call, value):
+    # a float is refused even when integral: sizes and indices are integers
+    with pytest.raises(ValueError, match=re.escape(value)):
         call()
