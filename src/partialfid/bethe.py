@@ -59,7 +59,7 @@ import math
 
 import numpy as np
 
-from .fidelity import Curve, _check_size, _is_integer
+from .fidelity import Curve, _check_range, _check_size, _is_integer
 
 # Convergence threshold (scaled by max(1, n/64)) and Newton step budget of
 # every sector solve; read at call time.
@@ -128,13 +128,6 @@ def bethe_residual(n, quantum_numbers, rapidities):
     return float(np.max(np.abs(violation)))
 
 
-def _check_sector(n, n_down):
-    _check_size(n)
-    if not (_is_integer(n_down) and 0 <= n_down <= n // 2):
-        raise ValueError(f"n_down must be an integer in [0, {n // 2}], "
-                         f"got {n_down}")
-
-
 def _dilute_phase(n, n_down, positive):
     """Phases arctan(y_j) = pi I_j / (n - n_down/2) of the dilute-limit roots."""
     return np.pi * positive / (n - 0.5 * n_down)
@@ -173,7 +166,7 @@ def solve_bethe(n, n_down, start=None):
         ValueError: invalid sector, or a start of the wrong length or with a
             root that is not positive and finite.
     """
-    _check_sector(n, n_down)
+    _check_range(n, "n_down", n_down, 0, n // 2)
 
     qn = bethe_quantum_numbers(n_down)
     odd = n_down % 2

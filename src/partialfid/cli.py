@@ -7,7 +7,9 @@ shorter than its block is absent in the rows past its end.  The table goes
 out as CSV (17 significant digits, LF line endings, an empty field where a
 value is absent) or as JSON: a `config` echo plus a `rows` array with the
 same field names, `null` where a value is absent, and for a `scaling` run
-a `fit` record.  Identical configurations produce byte-identical output.
+a `fit` record.  Identical configurations produce byte-identical output;
+for `validate` only at a fixed BLAS thread count, on which the last bits of
+the ED energies depend.
 Every curve, scan or report is computed before the output is opened, so a
 run that stops on an error writes nothing.  Both formats share one path:
 the table goes out a window of a fixed number of rows at a time, each

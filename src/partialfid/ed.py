@@ -7,7 +7,10 @@ independent of the Bethe-Ansatz route.  Used to validate sector energies,
 crossing fields, and full curves at desk scale; the Zeeman part commutes
 with the sector projection, so energies are taken at zero field.  Sectors
 above `DIMENSION_CAP` states are refused, and a Bethe value passes
-validation when it lies within `VALIDATION_TOL` of its ED value.
+validation when it lies within `VALIDATION_TOL` of its ED value.  The
+eigenvalue's last bits depend on the BLAS thread count (up to 1.3e-14 at
+n = 18-20), so a validation table is bit-identical only between runs with
+the same number of threads.
 
 The ring sum runs literally over bonds (i, i+1 mod n), so n = 2 counts its
 single bond twice; n = 2 is therefore excluded from validation.
@@ -24,10 +27,12 @@ from math import comb
 import numpy as np
 
 from . import bethe
-from .fidelity import _check_size, _is_integer
+from .fidelity import _check_range, _check_size
 
 DIMENSION_CAP = 200_000  # covers n = 20 at half filling (184,756)
-VALIDATION_TOL = 1e-8
+# The worst Bethe-vs-ED row over n = 4-20 is 6.75e-14 (energy, n = 12) at
+# one and two BLAS threads, 15 times below this bound.
+VALIDATION_TOL = 1e-12
 
 _NO_STATES = np.zeros(0, dtype=np.int64)
 
@@ -42,12 +47,10 @@ def _sector_states(n, n_down):
     times the sector dimension, never 2^n.  Sectors above `DIMENSION_CAP`
     states are refused before any is built.
     """
-    _check_size(n)
+    _check_range(n, "n_down", n_down, 0, n)
     if n > 62:
         raise ValueError(f"states are 64-bit integers: ring length must be "
                          f"<= 62, got {n}")
-    if not (_is_integer(n_down) and 0 <= n_down <= n):
-        raise ValueError(f"n_down must be an integer in [0, {n}], got {n_down}")
     dim = comb(n, n_down)
     if dim > DIMENSION_CAP:
         raise ValueError(
@@ -113,8 +116,8 @@ def _lowest_eigenvalue(matrix):
     """Lowest eigenvalue of a symmetric sparse matrix.
 
     Lanczos (ARPACK `eigsh`) from a fixed random start vector, so repeated
-    runs give identical bits.  ARPACK needs k < dimension, so the one- and
-    two-state sectors are diagonalized densely.
+    runs with the same BLAS thread count give identical bits.  ARPACK needs
+    k < dimension, so the one- and two-state sectors are diagonalized densely.
     """
     dim = matrix.shape[0]
     if dim <= 2:

@@ -46,6 +46,25 @@ def _check_size(n, floor=2):
                          f"got {n}")
 
 
+def _check_range(n, name, value, low, high):
+    """Reject a size `_check_size` rejects, or `value` not an integer in [low, high].
+
+    `value` may be an integer array, and `n` an array of sizes with `low` and
+    `high` arrays of its bounds; every entry must pass.  The error message
+    names `name`, the range and the value.
+    """
+    _check_size(n)
+    if isinstance(value, int) and isinstance(n, int):  # scalars need no array
+        valid = low <= value <= high
+    else:
+        value_array = np.asarray(value)
+        valid = _is_integer(value) and np.all((low <= value_array)
+                                              & (value_array <= high))
+    if not valid:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], "
+                         f"got {value}")
+
+
 def single_site_state(n, m):
     """Probability pair (p_up, p_down) of one site in the magnetization-m sector.
 
@@ -53,10 +72,7 @@ def single_site_state(n, m):
     ((1 + 2m/n)/2, (1 - 2m/n)/2).  `n` and `m` may be integer arrays, which
     broadcast.
     """
-    _check_size(n)
-    if not (_is_integer(m) and np.all(np.abs(np.asarray(m)) <= n // 2)):
-        raise ValueError(f"m must be an integer with |m| <= n/2 = {n // 2}, "
-                         f"got m = {m}")
+    _check_range(n, "m", m, -(n // 2), n // 2)
     sz = 2.0 * m / n
     return (1.0 + sz) / 2.0, (1.0 - sz) / 2.0
 
@@ -87,21 +103,12 @@ def bhattacharyya_fidelity(p, q):
     return np.minimum(f, 1.0)  # guard rounding at p = q against the bound
 
 
-def _check_crossing(n, j):
-    """Reject a size `_check_size` rejects, or j not an integer in [0, n/2 - 1]."""
-    _check_size(n)
-    index = np.asarray(j)
-    if not (_is_integer(j) and np.all((index >= 0) & (index <= n // 2 - 1))):
-        raise ValueError(f"crossing index must be an integer in "
-                         f"[0, {n // 2 - 1}], got {j}")
-
-
 def crossing_fidelity(n, j):
     """Fidelity at crossing j, between sectors n/2 - j and n/2 - j - 1.
 
     `n` and `j` may be integer arrays, which broadcast.
     """
-    _check_crossing(n, j)
+    _check_range(n, "crossing index", j, 0, n // 2 - 1)
     above = n // 2 - j
     return bhattacharyya_fidelity(
         single_site_state(n, above), single_site_state(n, above - 1)

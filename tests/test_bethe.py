@@ -325,6 +325,17 @@ class TestSectorEnergy:
         assert 8 / 4.0 - sector_epsilon(solve_bethe(8, 4)) == pytest.approx(
             -3.6510934089, abs=1e-9)
 
+    def test_half_filling_approaches_hulthen_energy(self):
+        # E_0/N -> 1/4 - ln 2 (Hulthen) with the conformal correction
+        # -pi^2/(12 N^2), times 1 + O(1/ln^3 N) from the marginal operator
+        # (Affleck, Gepner, Schulz and Ziman, J. Phys. A 22, 511 (1989))
+        for n in (16, 64, 256, 1024):
+            e0 = n / 4.0 - sector_epsilon(solve_bethe(n, n // 2))
+            ratio = n * n * (e0 / n - (0.25 - math.log(2.0))) / (
+                -math.pi ** 2 / 12.0)
+            assert 1.0 < ratio < 1.02, n
+            assert 0.12 <= (ratio - 1.0) * math.log(n) ** 3 <= 0.30, n
+
     def test_epsilon_strictly_increasing(self):
         for n in (8, 20, 64):
             eps = [sector_epsilon(solve_bethe(n, k)) for k in range(n // 2 + 1)]
@@ -354,6 +365,25 @@ class TestCrossings:
         assert len(heisenberg_crossings(12)) == 6
         assert len(curve) == 6
         assert (12 // 2 - np.arange(len(curve))).tolist() == [6, 5, 4, 3, 2, 1]
+
+    def test_spacings_near_saturation_match_dilute_sums(self):
+        # With N' = N - k/2 the dilute roots tan(pi I_j / N') sum to
+        # eps_d(k) = k + sin(pi k/N')/sin(pi/N'), exact for k <= 2; their
+        # spacings differ from the solver's by about (pi^2/2) C(j+2, 3) / N^3
+        def dilute_epsilon(n, k):
+            reduced = n - 0.5 * k
+            return k + math.sin(math.pi * k / reduced) / math.sin(
+                math.pi / reduced)
+
+        for n in (128, 256, 512, 1024):
+            sectors = range(7)
+            eps = np.array([sector_epsilon(solve_bethe(n, k)) for k in sectors])
+            eps_d = np.array([dilute_epsilon(n, k) for k in sectors])
+            spacing, spacing_d = (-np.diff(e, n=2) / 2.0 for e in (eps, eps_d))
+            for j in range(1, 5):
+                scaled = n ** 3 * abs(spacing_d[j] / spacing[j] - 1.0)
+                expected = 0.5 * math.pi ** 2 * math.comb(j + 2, 3)
+                assert scaled == pytest.approx(expected, rel=0.1), (n, j)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

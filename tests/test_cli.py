@@ -408,7 +408,7 @@ class TestValidate:
         assert len(energy_rows) == sum(n // 2 + 1 for n in (4, 6, 8))
         assert len(crossing_rows) == sum(n // 2 for n in (4, 6, 8))
         assert all(r["passed"] == "true" for r in rows)
-        assert all(float(r["difference"]) < 1e-8 for r in rows)
+        assert all(float(r["difference"]) < ed.VALIDATION_TOL for r in rows)
 
     def test_matches_report_reference_bytes(self, capsys, monkeypatch):
         reference = reference_text(VALIDATE_FIELDS,

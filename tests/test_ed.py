@@ -184,7 +184,7 @@ class TestValidation:
         report = validate_bethe(8)
         assert report.passed
         assert len(report.sectors) == 5
-        assert np.all(report.sectors.difference < 1e-8)
+        assert np.all(report.sectors.difference < VALIDATION_TOL)
         assert report.sectors.passed.all() and report.crossings.passed.all()
 
     def test_twelve_spins_with_crossings(self):
@@ -192,7 +192,17 @@ class TestValidation:
         assert report.passed
         assert len(report.sectors) == 7
         assert len(report.crossings) == 6
-        assert np.all(report.crossings.difference < 1e-8)
+        assert np.all(report.crossings.difference < VALIDATION_TOL)
+
+    def test_solver_stopping_early_fails_a_row(self, monkeypatch):
+        # a threshold 10^4 times the default leaves rows 8.0e-10 off at N = 8,
+        # which a 1e-8 tolerance would pass
+        monkeypatch.setattr(partialfid.bethe, "TOL", 1e-8)
+        report = validate_bethe(8)
+        assert not report.passed
+        worst = max(report.sectors.difference.max(),
+                    report.crossings.difference.max())
+        assert VALIDATION_TOL < worst < 1e-8
 
     def test_four_spins_saturation_field(self):
         report = validate_bethe(4)

@@ -19,6 +19,7 @@ from partialfid import (
     lmg_curve,
     lmg_energy,
     lmg_fidelity,
+    lmg_ground_magnetization,
     single_site_state,
     solve_bethe,
 )
@@ -134,7 +135,8 @@ class TestCrossingFidelity:
                 assert crossing_fidelity(n, j) < 1.0
 
     @pytest.mark.parametrize("n, j", [(8, -1), (8, 4), (2, 1),
-                                      (8, np.array([0, 4]))])
+                                      (8, np.array([0, 4])),
+                                      (np.array([4, 8]), 2)])
     def test_index_outside_the_crossings_rejected(self, n, j):
         with pytest.raises(ValueError, match="crossing index"):
             crossing_fidelity(n, j)
@@ -261,11 +263,16 @@ class TestFidelityCurve:
     lambda: crossing_fidelity(4, math.nan),
     lambda: crossing_fidelity(4, 0.5),
     lambda: lmg_fidelity(4, np.array([0.0, 0.5])),
+    lambda: lmg_energy(4, 1, math.nan),
+    lambda: lmg_energy(4, 1, math.inf),
+    lambda: lmg_ground_magnetization(4, math.nan),
+    lambda: lmg_ground_magnetization(4, math.inf),
 ], ids=["chi-nan-spacing", "chi-nan-fidelity", "chi-infinite-spacing",
         "curve-nan-spacing", "curve-infinite-spacing", "curve-infinite-field",
         "nan-probability",
         "nan-magnetization", "nan-crossing", "fractional-crossing",
-        "lmg-fractional-crossing"])
+        "lmg-fractional-crossing", "lmg-nan-field", "lmg-infinite-field",
+        "lmg-ground-nan-field", "lmg-ground-infinite-field"])
 def test_nan_infinite_and_fractional_inputs_rejected(call):
     # each range check is "all in range", which NaN fails
     with pytest.raises(ValueError):
