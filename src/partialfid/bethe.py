@@ -23,9 +23,11 @@ half system, as in ABACUS (J.-S. Caux, J. Math. Phys. 50, 095214 (2009)).
 It starts from the dilute-limit roots y_j = tan(pi I_j / (n - n_down/2)):
 for small roots, which sum to zero, sum_l 2 arctan((x_j - x_l)/2) is about
 n_down x_j, itself about n_down arctan(x_j).  For n_down = 2 this start is
-the exact root tan(pi/(2(n-1))), so sectors with at most two down spins
-take no Newton step; a chi_max scan (`analysis.chi_max_scan`) needs only
-these sectors and solves them by lone calls, three per size.  With
+the exact root tan(pi/(2(n-1))), so a lone solve of that sector returns it
+after one residual check, in the Newton loop's own arithmetic and with no
+loop arrays built; sectors n_down <= 1 have no positive root.  A chi_max
+scan (`analysis.chi_max_scan`) needs only these sectors and solves them by
+lone calls, three per size.  With
 K(d) = 1/(1 + d^2/4) the Jacobian is symmetric and closed form: off the
 diagonal dF_j/dy_l = K(y_j - y_l) - K(y_j + y_l), and on it
 2n/(1 + y_j^2) - (sum_l K(y_j - y_l) - 1) - sum_l K(y_j + y_l)
@@ -114,6 +116,11 @@ def bethe_quantum_numbers(n_down):
     """
     if not _is_integer(n_down) or n_down < 0:
         raise ValueError(f"n_down must be a nonnegative integer, got {n_down}")
+    return _quantum_numbers(n_down)
+
+
+def _quantum_numbers(n_down):
+    """`bethe_quantum_numbers` of an n_down already checked."""
     return np.arange(-0.5 * (n_down - 1), 0.5 * n_down)
 
 
@@ -146,7 +153,10 @@ def solve_bethe(n, n_down, start=None):
     their mirror image, a zero root for odd n_down, and the roots themselves.
     It stops once the maximum equation violation is at most
     TOL * max(1, n/64), since the equation terms grow like n pi, and gives
-    up after MAX_ITER steps.
+    up after MAX_ITER steps.  Sector n_down = 2 without a start is returned
+    from its exact root tan(pi/(2(n-1))) after one residual check, which
+    repeats the loop's first evaluation bit for bit; only a root that missed
+    the threshold would go on to Newton steps.
 
     Args:
         n: ring length, even.
@@ -166,9 +176,18 @@ def solve_bethe(n, n_down, start=None):
         ValueError: invalid sector, or a start of the wrong length or with a
             root that is not positive and finite.
     """
-    _check_range(n, "n_down", n_down, 0, n // 2)
+    _check_range(n, "n_down", n_down, lambda size: (0, size // 2))
 
-    qn = bethe_quantum_numbers(n_down)
+    qn = _quantum_numbers(n_down)
+    threshold = TOL * max(1.0, n / 64.0)  # terms of F grow like n pi
+    if n_down == 2 and start is None:
+        # the dilute start is the exact root y; F = 2n u - pi - 2 arctan(y)
+        # repeats the Newton loop's arithmetic, so every bit matches it
+        y = float(np.tan(_dilute_phase(n, 2, 0.5)))
+        u = float(np.arctan(y))
+        residual = float(abs(2.0 * n * u - np.pi - 2.0 * u))
+        if residual <= threshold:
+            return BetheRoots(n, 2, qn, np.array([-y, y]), residual, 0)
     odd = n_down % 2
     positive = qn[n_down - n_down // 2:]
     if start is not None:
@@ -184,7 +203,6 @@ def solve_bethe(n, n_down, start=None):
     if start is None:
         y = np.tan(_dilute_phase(n, n_down, positive))
 
-    threshold = TOL * max(1.0, n / 64.0)  # terms of F grow like n pi
     two_pi_qn = 2.0 * np.pi * positive
     for iteration in range(MAX_ITER + 1):
         # half-differences of each positive root and every root y, -y (and 0)

@@ -47,7 +47,7 @@ def _sector_states(n, n_down):
     times the sector dimension, never 2^n.  Sectors above `DIMENSION_CAP`
     states are refused before any is built.
     """
-    _check_range(n, "n_down", n_down, 0, n)
+    _check_range(n, "n_down", n_down, lambda size: (0, size))
     if n > 62:
         raise ValueError(f"states are 64-bit integers: ring length must be "
                          f"<= 62, got {n}")

@@ -46,14 +46,17 @@ def _check_size(n, floor=2):
                          f"got {n}")
 
 
-def _check_range(n, name, value, low, high):
-    """Reject a size `_check_size` rejects, or `value` not an integer in [low, high].
+def _check_range(n, name, value, bounds):
+    """Reject a size `_check_size` rejects, or `value` not an integer in bounds(n).
 
-    `value` may be an integer array, and `n` an array of sizes with `low` and
-    `high` arrays of its bounds; every entry must pass.  The error message
-    names `name`, the range and the value.
+    `bounds` maps the size to the pair (low, high) and runs only once the
+    size has passed, so a size that is no number fails as a size.  `value`
+    may be an integer array, and `n` an array of sizes with arrays of
+    bounds; every entry must pass.  The error message names `name`, the
+    range and the value.
     """
     _check_size(n)
+    low, high = bounds(n)
     if isinstance(value, int) and isinstance(n, int):  # scalars need no array
         valid = low <= value <= high
     else:
@@ -72,7 +75,7 @@ def single_site_state(n, m):
     ((1 + 2m/n)/2, (1 - 2m/n)/2).  `n` and `m` may be integer arrays, which
     broadcast.
     """
-    _check_range(n, "m", m, -(n // 2), n // 2)
+    _check_range(n, "m", m, lambda size: (-(size // 2), size // 2))
     sz = 2.0 * m / n
     return (1.0 + sz) / 2.0, (1.0 - sz) / 2.0
 
@@ -108,7 +111,7 @@ def crossing_fidelity(n, j):
 
     `n` and `j` may be integer arrays, which broadcast.
     """
-    _check_range(n, "crossing index", j, 0, n // 2 - 1)
+    _check_range(n, "crossing index", j, lambda size: (0, size // 2 - 1))
     above = n // 2 - j
     return bhattacharyya_fidelity(
         single_site_state(n, above), single_site_state(n, above - 1)

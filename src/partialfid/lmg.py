@@ -29,7 +29,7 @@ def lmg_energy(n, m, h):
 
     The sector |S = n/2, M = m> needs 0 <= m <= n/2, and h must be finite.
     """
-    _check_range(n, "m", m, 0, n // 2)
+    _check_range(n, "m", m, lambda size: (0, size // 2))
     _check_field(h)
     return (2.0 / n) * (m - h * n / 2.0) ** 2 - (n / 2.0) * (1.0 + h * h)
 
@@ -63,7 +63,7 @@ def lmg_fidelity(n, j):
 
     `j` may be an integer array.
     """
-    _check_range(n, "crossing index", j, 0, n // 2 - 1)
+    _check_range(n, "crossing index", j, lambda size: (0, size // 2 - 1))
     j = np.asarray(j, dtype=float)
     return (np.sqrt((n - j) * (n - j - 1.0)) + np.sqrt(j * (j + 1.0))) / n
 

@@ -199,6 +199,25 @@ class TestDiluteStart:
             h1 = 0.5 * (sector_epsilon(roots) - sector_epsilon(solve_bethe(n, 1)))
             assert abs(h1 - h1_closed_form(n)) <= math.ulp(h1), n
 
+    def test_two_down_spins_match_the_newton_loop_bit_for_bit(self):
+        # a lone (n, 2) solve returns its root after one residual check; the
+        # Newton loop started at that root gives the same bits
+        for n in range(4, 8193, 2):
+            lone = solve_bethe(n, 2)
+            looped = solve_bethe(n, 2, start=[np.tan(np.pi / (2 * (n - 1)))])
+            assert lone.rapidities.tobytes() == looped.rapidities.tobytes(), n
+            assert lone.residual == looped.residual, n
+            assert lone.iterations == looped.iterations == 0, n
+
+    def test_two_down_spins_under_an_unreachable_tolerance(self, monkeypatch):
+        # a root that misses the threshold goes on to the Newton loop
+        monkeypatch.setattr(bethe, "TOL", 1e-30)
+        assert solve_bethe(8, 2).iterations == 0  # residual exactly 0
+        with pytest.raises(ConvergenceError) as info:
+            solve_bethe(64, 2)
+        err = info.value
+        assert (err.n, err.n_down, err.iterations) == (64, 2, bethe.MAX_ITER)
+
     def test_total_steps_over_all_sectors(self):
         # every sector of a 512-spin ring solved alone: 663 steps with the
         # phase step, 754 with the step in y and 989 from tan(pi I_j / n)

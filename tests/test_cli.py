@@ -439,6 +439,13 @@ class TestValidate:
         code, _, _ = run(capsys, "validate", "--max-size", size)
         assert code == 2
 
+    def test_writes_csv_only(self, capsys):
+        # only curve and scaling take --format
+        code, out, err = run(capsys, "validate", "--max-size", "4",
+                             "--format", "json")
+        assert (code, out) == (2, "")
+        assert "--format" in err
+
     def test_max_size_limit_is_the_ed_cap(self, capsys, monkeypatch):
         # the largest ring the ED cap admits is 20, and the limit is checked
         # before any ring is validated

@@ -291,10 +291,18 @@ def test_nan_infinite_and_fractional_inputs_rejected(call):
     (lambda: single_site_state(4, 1.0), "1.0"),
     (lambda: crossing_fidelity(8, 1.0), "1.0"),
     (lambda: lmg_energy(4, 1.5, 0.0), "1.5"),
+    # a size that is no number fails as a size, before any bound uses it
+    (lambda: solve_bethe(None, 1), "integer >= 2, got None"),
+    (lambda: crossing_fidelity("8", 1), "integer >= 2, got 8"),
+    (lambda: lmg_fidelity("8", 0), "integer >= 2, got 8"),
+    (lambda: single_site_state(None, 0), "integer >= 2, got None"),
+    (lambda: lmg_energy("4", 1, 0.0), "integer >= 2, got 4"),
 ], ids=["bethe-fractional-sector", "bethe-float-size", "float-quantum-count",
         "ed-fractional-sector", "lmg-float-size", "heisenberg-float-size",
         "scan-float-size", "fractional-magnetization", "float-magnetization",
-        "float-crossing", "lmg-fractional-magnetization"])
+        "float-crossing", "lmg-fractional-magnetization", "bethe-none-size",
+        "crossing-string-size", "lmg-string-size", "magnetization-none-size",
+        "lmg-energy-string-size"])
 def test_non_integer_size_or_index_rejected(call, value):
     # a float is refused even when integral: sizes and indices are integers
     with pytest.raises(ValueError, match=re.escape(value)):
