@@ -15,7 +15,6 @@ from .analysis import (
 from .bethe import (
     BetheRoots,
     ConvergenceError,
-    bethe_quantum_numbers,
     bethe_residual,
     h1_closed_form,
     heisenberg_crossings,
@@ -57,7 +56,6 @@ __all__ = [
     "PowerLawFit",
     "SectorHamiltonian",
     "ValidationReport",
-    "bethe_quantum_numbers",
     "bethe_residual",
     "bhattacharyya_fidelity",
     "chi_max_scan",

@@ -68,12 +68,12 @@ def chi_max_scan(model, sizes):
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-    sizes = sorted(set(sizes))
+    sizes = list(sizes)
     if not sizes:
         raise ValueError("at least one size required")
-    for n in sizes:
+    for n in sizes:  # every given size, before a set merges 8 and 8.0
         _check_size(n, SIZE_FLOORS[model])
-    sizes = [int(n) for n in sizes]
+    sizes = sorted({int(n) for n in sizes})
 
     if model == "lmg":
         return [(n, 1.0 - 1.0 / n, lmg.lmg_chi_max(n)) for n in sizes]

@@ -61,7 +61,7 @@ import math
 
 import numpy as np
 
-from .fidelity import Curve, _check_range, _check_size, _is_integer
+from .fidelity import Curve, _check_range, _check_size
 
 # Convergence threshold (scaled by max(1, n/64)) and Newton step budget of
 # every sector solve; read at call time.
@@ -92,45 +92,45 @@ class BetheRoots:
     """Solved rapidities of one (n, n_down) sector, with solver diagnostics."""
 
     n: int
-    n_down: int
-    quantum_numbers: np.ndarray
     rapidities: np.ndarray
     residual: float
     iterations: int
 
     def __post_init__(self):
-        if len(self.quantum_numbers) != self.n_down:
-            raise ValueError("one quantum number per down spin required")
-        if len(self.rapidities) != self.n_down:
-            raise ValueError("one rapidity per down spin required")
         x = self.rapidities
-        if self.n_down > 1 and not (x[1:] > x[:-1]).all():
+        if len(x) > 1 and not (x[1:] > x[:-1]).all():
             raise ValueError("rapidities must be strictly ascending")
 
+    @property
+    def n_down(self):
+        """Number of down spins: the root count."""
+        return len(self.rapidities)
 
-def bethe_quantum_numbers(n_down):
+    @property
+    def quantum_numbers(self):
+        """Ground-state quantum numbers of n_down roots (`_quantum_numbers`)."""
+        return _quantum_numbers(self.n_down)
+
+
+def _quantum_numbers(n_down):
     """Ground-state quantum numbers -(n_down-1)/2, ..., (n_down-1)/2, unit step.
 
     Integers for odd n_down, half-odd-integers for even; empty for n_down = 0.
     One float `arange` between half-integer bounds, exact in float64.
     """
-    if not _is_integer(n_down) or n_down < 0:
-        raise ValueError(f"n_down must be a nonnegative integer, got {n_down}")
-    return _quantum_numbers(n_down)
-
-
-def _quantum_numbers(n_down):
-    """`bethe_quantum_numbers` of an n_down already checked."""
     return np.arange(-0.5 * (n_down - 1), 0.5 * n_down)
 
 
-def bethe_residual(n, quantum_numbers, rapidities):
-    """Largest absolute violation of the coupled rapidity equations."""
+def bethe_residual(n, rapidities):
+    """Largest absolute violation of the coupled rapidity equations.
+
+    The rapidities ascend, and their count gives the quantum numbers.
+    """
     x = np.asarray(rapidities, dtype=float)
     if x.size == 0:
         return 0.0
     pair_sum = np.arctan(0.5 * (x[:, None] - x[None, :])).sum(axis=1)
-    violation = 2.0 * n * np.arctan(x) - 2.0 * np.pi * np.asarray(quantum_numbers) \
+    violation = 2.0 * n * np.arctan(x) - 2.0 * np.pi * _quantum_numbers(x.size) \
         - 2.0 * pair_sum
     return float(np.max(np.abs(violation)))
 
@@ -178,7 +178,6 @@ def solve_bethe(n, n_down, start=None):
     """
     _check_range(n, "n_down", n_down, lambda size: (0, size // 2))
 
-    qn = _quantum_numbers(n_down)
     threshold = TOL * max(1.0, n / 64.0)  # terms of F grow like n pi
     if n_down == 2 and start is None:
         # the dilute start is the exact root y; F = 2n u - pi - 2 arctan(y)
@@ -187,9 +186,9 @@ def solve_bethe(n, n_down, start=None):
         u = float(np.arctan(y))
         residual = float(abs(2.0 * n * u - np.pi - 2.0 * u))
         if residual <= threshold:
-            return BetheRoots(n, 2, qn, np.array([-y, y]), residual, 0)
+            return BetheRoots(n, np.array([-y, y]), residual, 0)
     odd = n_down % 2
-    positive = qn[n_down - n_down // 2:]
+    positive = _quantum_numbers(n_down)[n_down - n_down // 2:]
     if start is not None:
         y = np.array(start, dtype=float)
         if y.shape != positive.shape:
@@ -199,7 +198,7 @@ def solve_bethe(n, n_down, start=None):
             raise ValueError("start roots must be positive and finite")
     size = positive.size
     if size == 0:  # the lone zero root of n_down = 1 solves its equation
-        return BetheRoots(n, n_down, qn, np.zeros(odd), 0.0, 0)
+        return BetheRoots(n, np.zeros(odd), 0.0, 0)
     if start is None:
         y = np.tan(_dilute_phase(n, n_down, positive))
 
@@ -214,9 +213,9 @@ def solve_bethe(n, n_down, start=None):
         if residual <= threshold:
             y.sort()  # y is this call's own array
             x = np.concatenate((-y[::-1], np.zeros(odd), y))
-            return BetheRoots(n, n_down, qn, x, residual, iteration)
+            return BetheRoots(n, x, residual, iteration)
         if iteration == MAX_ITER:
-            break
+            raise ConvergenceError(n, n_down, residual, MAX_ITER)
         # K = 1/(1 + d^2) in place of d; dF_j/dy_l = K(y_j - y_l) - K(y_j + y_l)
         np.multiply(d, d, out=d)
         d += 1.0
@@ -235,7 +234,6 @@ def solve_bethe(n, n_down, start=None):
         if not _phases_in_range(u):
             raise ConvergenceError(n, n_down, residual, iteration)
         y = np.tan(u)
-    raise ConvergenceError(n, n_down, residual, MAX_ITER)
 
 
 def _epsilon(x):
@@ -264,20 +262,19 @@ def heisenberg_crossings(n):
     u0_j = pi I_j / (n - n_down/2).  The next sector starts at
     tan(u0 g(t)), with g = 2 r_{k-1} - r_{k-2} from the last two profiles
     (interpolated, extended linearly past the last point), or the one
-    profile there is.  Sectors n_down <= 2 have no profile before them, so
-    they start at the dilute limit as in a lone solve, and so does a sector
-    whose continued phases would leave (0, pi/2).  Nothing is kept between
-    calls.
+    profile there is.  Sectors n_down <= 1 have no positive root and are
+    solved first; sector 2 has no profile before it, so it starts at the
+    dilute limit as in a lone solve, and so does a sector whose continued
+    phases would leave (0, pi/2).  Nothing is kept between calls.
     """
     _check_size(n, floor=4)
     epsilon = np.empty(n // 2 + 1)
-    profiles = []  # (t, r) of the last two sectors solved with positive roots
-    for k in range(n // 2 + 1):
+    epsilon[:2] = [sector_epsilon(solve_bethe(n, k)) for k in (0, 1)]
+    profiles = []  # (t, r) of the last two sectors solved
+    for k in range(2, n // 2 + 1):
+        positive = _quantum_numbers(k)[k - k // 2:]
+        t, dilute = positive / (0.5 * k), _dilute_phase(n, k, positive)
         start = None
-        continued = k >= 2  # sectors with a positive root give or take a profile
-        if continued:
-            positive = bethe_quantum_numbers(k)[k - k // 2:]
-            t, dilute = positive / (0.5 * k), _dilute_phase(n, k, positive)
         if profiles:
             g = _ratio(*profiles[-1], t)
             if len(profiles) == 2:
@@ -287,9 +284,8 @@ def heisenberg_crossings(n):
                 start = np.tan(phase)
         roots = solve_bethe(n, k, start=start)
         epsilon[k] = sector_epsilon(roots)
-        if continued:
-            r = np.arctan(roots.rapidities[k - k // 2:]) / dilute
-            profiles = [*profiles[-1:], (t, r)]
+        r = np.arctan(roots.rapidities[k - k // 2:]) / dilute
+        profiles = [*profiles[-1:], (t, r)]
     return 0.5 * (epsilon[1:] - epsilon[:-1])
 
 

@@ -26,10 +26,11 @@ NORMALIZATION_DRIFT = 1e-12
 def _is_integer(value):
     """True for an int or numpy integer, or an array of integers.
 
-    A float is refused even when integral, 8.0 like 8.5, so every size, sector
-    and crossing index is an integer at every entry point.
+    A float is refused even when integral, 8.0 like 8.5, and so is a bool, as
+    it is in an array, so every size, sector and crossing index is an integer
+    at every entry point.
     """
-    return (isinstance(value, (int, np.integer))
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             or np.asarray(value).dtype.kind in "iu")
 
 
@@ -57,7 +58,7 @@ def _check_range(n, name, value, bounds):
     """
     _check_size(n)
     low, high = bounds(n)
-    if isinstance(value, int) and isinstance(n, int):  # scalars need no array
+    if type(value) is int and type(n) is int:  # scalars need no array; no bool
         valid = low <= value <= high
     else:
         value_array = np.asarray(value)

@@ -1,5 +1,6 @@
 """Bethe solver tests: roots, residuals, sector energies, crossings, curves."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from partialfid import (
     BetheRoots,
     ConvergenceError,
     bethe,
-    bethe_quantum_numbers,
     bethe_residual,
     h1_closed_form,
     heisenberg_crossings,
@@ -37,7 +37,7 @@ def full_system_newton(n, n_down, tol=1e-12, max_iter=50):
     Returns the ascending roots and the number of Newton steps.  It starts
     and steps as `solve_bethe` does, so both take the same steps.
     """
-    qn = bethe_quantum_numbers(n_down)
+    qn = np.arange(n_down) - 0.5 * (n_down - 1)
     x = np.tan(np.pi * qn / (n - 0.5 * n_down))
     threshold = tol * max(1.0, n / 64.0)
     for steps in range(max_iter + 1):
@@ -55,34 +55,38 @@ def full_system_newton(n, n_down, tol=1e-12, max_iter=50):
 
 
 class TestQuantumNumbers:
+    """n_down and the quantum numbers of a solve follow from its root count."""
+
+    @staticmethod
+    def solved(n_down):
+        roots = solve_bethe(8, n_down)
+        assert roots.n_down == len(roots.rapidities) == n_down
+        return roots.quantum_numbers.tolist()
+
     def test_single_down_spin(self):
-        assert bethe_quantum_numbers(1).tolist() == [0.0]
+        assert self.solved(1) == [0.0]
 
     def test_two_down_spins(self):
-        assert bethe_quantum_numbers(2).tolist() == [-0.5, 0.5]
+        assert self.solved(2) == [-0.5, 0.5]
 
     def test_three_down_spins(self):
-        assert bethe_quantum_numbers(3).tolist() == [-1.0, 0.0, 1.0]
+        assert self.solved(3) == [-1.0, 0.0, 1.0]
 
     def test_empty_sector(self):
-        assert bethe_quantum_numbers(0).size == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bethe_quantum_numbers(-1)
+        assert self.solved(0) == []
 
 
 class TestBetheRoots:
-    @pytest.mark.parametrize("quantum_numbers, rapidities, message", [
-        ([-0.5, 0.5], [-1.0, 0.0, 1.0], "one quantum number per down spin"),
-        ([-1.0, 0.0, 1.0], [-1.0, 1.0], "one rapidity per down spin"),
-        ([-1.0, 0.0, 1.0], [-1.0, 1.0, 0.0], "strictly ascending"),
-    ], ids=["quantum_numbers", "rapidities", "order"])
-    def test_inconsistent_roots_rejected(self, quantum_numbers, rapidities,
-                                         message):
+    def test_fields_are_what_a_solve_produces(self):
+        assert [f.name for f in dataclasses.fields(BetheRoots)] == [
+            "n", "rapidities", "residual", "iterations"]
+
+    @pytest.mark.parametrize("rapidities, message", [
+        ([-1.0, 1.0, 0.0], "strictly ascending"),
+    ], ids=["order"])
+    def test_inconsistent_roots_rejected(self, rapidities, message):
         with pytest.raises(ValueError, match=message):
-            BetheRoots(8, 3, np.array(quantum_numbers), np.array(rapidities),
-                       0.0, 0)
+            BetheRoots(8, np.array(rapidities), 0.0, 0)
 
 
 class TestSolver:
@@ -104,8 +108,7 @@ class TestSolver:
                                           roots.rapidities)
             assert roots.residual <= 1e-12
             assert abs(recomputed - roots.residual) < 1e-12
-            assert bethe_residual(n, roots.quantum_numbers,
-                                  roots.rapidities) <= 2e-12
+            assert bethe_residual(n, roots.rapidities) <= 2e-12
 
     def test_root_set_antisymmetric(self):
         for n, n_down in [(8, 3), (12, 6), (16, 5), (64, 32)]:
@@ -314,7 +317,7 @@ class TestHalfSystem:
     def test_full_residual_within_threshold_at_cap(self):
         roots = solve_bethe(1024, 512)
         threshold = 1e-12 * 1024 / 64
-        full = bethe_residual(1024, roots.quantum_numbers, roots.rapidities)
+        full = bethe_residual(1024, roots.rapidities)
         assert roots.residual <= threshold and full <= threshold
 
 

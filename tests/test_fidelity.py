@@ -8,7 +8,6 @@ import pytest
 
 from partialfid import (
     Curve,
-    bethe_quantum_numbers,
     bhattacharyya_fidelity,
     chi_max_scan,
     crossing_fidelity,
@@ -282,7 +281,7 @@ def test_nan_infinite_and_fractional_inputs_rejected(call):
 @pytest.mark.parametrize("call, value", [
     (lambda: solve_bethe(8, 1.5), "1.5"),
     (lambda: solve_bethe(8.0, 2), "8.0"),
-    (lambda: bethe_quantum_numbers(2.0), "2.0"),
+    (lambda: solve_bethe(8, 2.0), "2.0"),
     (lambda: ed_sector_ground_energy(8, 1.5), "1.5"),
     (lambda: lmg_curve(8.0), "8.0"),
     (lambda: heisenberg_curve(8.0), "8.0"),
@@ -297,12 +296,26 @@ def test_nan_infinite_and_fractional_inputs_rejected(call):
     (lambda: lmg_fidelity("8", 0), "integer >= 2, got 8"),
     (lambda: single_site_state(None, 0), "integer >= 2, got None"),
     (lambda: lmg_energy("4", 1, 0.0), "integer >= 2, got 4"),
+    # every given size is checked before duplicates merge
+    (lambda: chi_max_scan("lmg", [8, 8.0]), "got 8.0"),
+    (lambda: chi_max_scan("lmg", [8, None]), "got None"),
+    (lambda: chi_max_scan("heisenberg", [8, "10"]), "got 10"),
+    # a bool is no integer, as a scalar as in an array
+    (lambda: solve_bethe(8, True), "got True"),
+    (lambda: crossing_fidelity(8, True), "got True"),
+    (lambda: crossing_fidelity(True, 0), "got True"),
+    (lambda: single_site_state(4, True), "got True"),
+    (lambda: ed_sector_ground_energy(8, True), "got True"),
+    (lambda: chi_max_scan("heisenberg", [8, True]), "got True"),
 ], ids=["bethe-fractional-sector", "bethe-float-size", "float-quantum-count",
         "ed-fractional-sector", "lmg-float-size", "heisenberg-float-size",
         "scan-float-size", "fractional-magnetization", "float-magnetization",
         "float-crossing", "lmg-fractional-magnetization", "bethe-none-size",
         "crossing-string-size", "lmg-string-size", "magnetization-none-size",
-        "lmg-energy-string-size"])
+        "lmg-energy-string-size", "scan-duplicate-float-size",
+        "scan-none-size", "scan-string-size", "bethe-bool-sector",
+        "bool-crossing", "bool-size", "bool-magnetization", "ed-bool-sector",
+        "scan-bool-size"])
 def test_non_integer_size_or_index_rejected(call, value):
     # a float is refused even when integral: sizes and indices are integers
     with pytest.raises(ValueError, match=re.escape(value)):
