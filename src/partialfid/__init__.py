@@ -15,8 +15,6 @@ from .analysis import (
 from .bethe import (
     BetheRoots,
     ConvergenceError,
-    bethe_residual,
-    h1_closed_form,
     heisenberg_crossings,
     heisenberg_curve,
     sector_epsilon,
@@ -24,7 +22,6 @@ from .bethe import (
 )
 from .ed import (
     Comparison,
-    SectorHamiltonian,
     ValidationReport,
     ed_sector_ground_energy,
     sector_hamiltonian,
@@ -32,18 +29,13 @@ from .ed import (
 )
 from .fidelity import (
     Curve,
-    bhattacharyya_fidelity,
     crossing_fidelity,
     crossing_susceptibility,
-    single_site_state,
 )
 from .lmg import (
     lmg_chi_max,
     lmg_crossings,
     lmg_curve,
-    lmg_energy,
-    lmg_fidelity,
-    lmg_ground_magnetization,
 )
 
 __version__ = "0.1.0"
@@ -54,27 +46,19 @@ __all__ = [
     "ConvergenceError",
     "Curve",
     "PowerLawFit",
-    "SectorHamiltonian",
     "ValidationReport",
-    "bethe_residual",
-    "bhattacharyya_fidelity",
     "chi_max_scan",
     "crossing_fidelity",
     "crossing_susceptibility",
     "ed_sector_ground_energy",
     "fit_power_law",
-    "h1_closed_form",
     "heisenberg_crossings",
     "heisenberg_curve",
     "lmg_chi_max",
     "lmg_crossings",
     "lmg_curve",
-    "lmg_energy",
-    "lmg_fidelity",
-    "lmg_ground_magnetization",
     "sector_epsilon",
     "sector_hamiltonian",
-    "single_site_state",
     "solve_bethe",
     "validate_bethe",
 ]

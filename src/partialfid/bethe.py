@@ -57,8 +57,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import math
-
 import numpy as np
 
 from .fidelity import Curve, _check_range, _check_size
@@ -119,20 +117,6 @@ def _quantum_numbers(n_down):
     One float `arange` between half-integer bounds, exact in float64.
     """
     return np.arange(-0.5 * (n_down - 1), 0.5 * n_down)
-
-
-def bethe_residual(n, rapidities):
-    """Largest absolute violation of the coupled rapidity equations.
-
-    The rapidities ascend, and their count gives the quantum numbers.
-    """
-    x = np.asarray(rapidities, dtype=float)
-    if x.size == 0:
-        return 0.0
-    pair_sum = np.arctan(0.5 * (x[:, None] - x[None, :])).sum(axis=1)
-    violation = 2.0 * n * np.arctan(x) - 2.0 * np.pi * _quantum_numbers(x.size) \
-        - 2.0 * pair_sum
-    return float(np.max(np.abs(violation)))
 
 
 def _dilute_phase(n, n_down, positive):
@@ -297,18 +281,6 @@ def _ratio(t_solved, r_solved, t):
         past = t > t_solved[-1]
         r[past] = r_solved[-1] + slope * (t[past] - t_solved[-1])
     return r
-
-
-def h1_closed_form(n):
-    """Second crossing field -1 + 2/(tan^2(pi/(2(n-1))) + 1), i.e. cos(pi/(n-1)).
-
-    Follows from the two-down-spin sector, whose rapidities are the
-    antisymmetric pair +-tan(pi/(2(n-1))); for large n the gap below h_0 = 1
-    approaches pi^2 / (2(n-1)^2).
-    """
-    _check_size(n, floor=4)
-    t = math.tan(math.pi / (2.0 * (n - 1)))
-    return -1.0 + 2.0 / (t * t + 1.0)
 
 
 def heisenberg_curve(n):

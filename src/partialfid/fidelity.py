@@ -7,9 +7,11 @@ between two of them reduces to the Bhattacharyya coefficient of the two
 pairs.  Sectors are orthogonal, so the full-state fidelity across any
 crossing is zero; the single-site one is not.  Crossing j joins sectors
 n/2 - j and n/2 - j - 1 in both models, so its fidelity depends on n and j
-alone, and a model gives a `Curve` only its crossing fields and spacings.
-The numeric operations accept numpy arrays in place of scalars and
-broadcast elementwise.
+alone: `crossing_fidelity(n, j)` is the package's one fidelity formula, and
+a model gives a `Curve` only its crossing fields and spacings.  The general
+Bhattacharyya overlap and its closed form for this pair of sectors live in
+the tests, as oracles for `crossing_fidelity`.  The numeric operations
+accept numpy arrays in place of scalars and broadcast elementwise.
 """
 
 from __future__ import annotations
@@ -17,11 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# Probability pairs whose sum drifted from one by at most this much are
-# renormalized; larger drift is rejected as corrupt input.
-NORMALIZATION_DRIFT = 1e-12
-
 
 def _is_integer(value):
     """True for an int or numpy integer, or an array of integers.
@@ -69,54 +66,23 @@ def _check_range(n, name, value, bounds):
                          f"got {value}")
 
 
-def single_site_state(n, m):
-    """Probability pair (p_up, p_down) of one site in the magnetization-m sector.
-
-    The on-site average <sigma^z> is 2m/n, so the pair is
-    ((1 + 2m/n)/2, (1 - 2m/n)/2).  `n` and `m` may be integer arrays, which
-    broadcast.
-    """
-    _check_range(n, "m", m, lambda size: (-(size // 2), size // 2))
-    sz = 2.0 * m / n
-    return (1.0 + sz) / 2.0, (1.0 - sz) / 2.0
-
-
-def _normalized(pair):
-    """Check a probability pair and divide it by its sum."""
-    p_up, p_down = pair
-    if not np.all((np.asarray(p_up) >= 0.0) & (np.asarray(p_down) >= 0.0)):
-        raise ValueError("probabilities must be nonnegative")
-    total = p_up + p_down
-    if not np.all(np.abs(np.asarray(total) - 1.0) <= NORMALIZATION_DRIFT):
-        raise ValueError(
-            f"p_up + p_down = {total!r} differs from 1 by more than "
-            f"{NORMALIZATION_DRIFT}"
-        )
-    return p_up / total, p_down / total
-
-
-def bhattacharyya_fidelity(p, q):
-    """Overlap sqrt(p_up q_up) + sqrt(p_down q_down) of two probability pairs.
-
-    Each pair is checked and renormalized first.  Symmetric in its arguments,
-    bounded by 1 (Cauchy-Schwarz), and equal to 1 exactly when the pairs
-    coincide.
-    """
-    (p_up, p_down), (q_up, q_down) = _normalized(p), _normalized(q)
-    f = np.sqrt(p_up * q_up) + np.sqrt(p_down * q_down)
-    return np.minimum(f, 1.0)  # guard rounding at p = q against the bound
-
-
 def crossing_fidelity(n, j):
-    """Fidelity at crossing j, between sectors n/2 - j and n/2 - j - 1.
+    """Fidelity at crossing j, between sectors m = n/2 - j and m - 1.
 
-    `n` and `j` may be integer arrays, which broadcast.
+    The one-site pair of sector m is ((1 + sz)/2, (1 - sz)/2) with
+    sz = <sigma^z> = 2m/n, and the fidelity is the Bhattacharyya overlap
+    sqrt(p_up q_up) + sqrt(p_down q_down) of the two pairs.  No pair needs
+    renormalizing: for 0 <= sz <= 1 the rounded 1 + sz and 1 - sz differ
+    from their exact values by at most 2^-53 together, so their float sum
+    is exactly 2.  `n` and `j` may be integer arrays, which broadcast.
     """
     _check_range(n, "crossing index", j, lambda size: (0, size // 2 - 1))
-    above = n // 2 - j
-    return bhattacharyya_fidelity(
-        single_site_state(n, above), single_site_state(n, above - 1)
-    )
+    m = n // 2 - j
+    p_sz, q_sz = 2.0 * m / n, 2.0 * (m - 1) / n
+    p_up, p_down = (1.0 + p_sz) / 2.0, (1.0 - p_sz) / 2.0
+    q_up, q_down = (1.0 + q_sz) / 2.0, (1.0 - q_sz) / 2.0
+    f = np.sqrt(p_up * q_up) + np.sqrt(p_down * q_down)
+    return np.minimum(f, 1.0)  # Cauchy-Schwarz bound, guarded against rounding
 
 
 def crossing_susceptibility(fidelity, delta_h):

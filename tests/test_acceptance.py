@@ -10,20 +10,18 @@ import time
 import numpy as np
 import pytest
 
+from oracles import bhattacharyya_fidelity, h1_closed_form, lmg_fidelity
 from partialfid import (
     bethe,
-    bhattacharyya_fidelity,
     chi_max_scan,
     crossing_fidelity,
     crossing_susceptibility,
     ed_sector_ground_energy,
     fit_power_law,
-    h1_closed_form,
     heisenberg_crossings,
     heisenberg_curve,
     lmg_chi_max,
     lmg_curve,
-    lmg_fidelity,
     sector_epsilon,
     solve_bethe,
     validate_bethe,

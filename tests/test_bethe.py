@@ -6,12 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import bethe_residual, h1_closed_form
 from partialfid import (
     BetheRoots,
     ConvergenceError,
     bethe,
-    bethe_residual,
-    h1_closed_form,
     heisenberg_crossings,
     heisenberg_curve,
     sector_epsilon,

@@ -1,4 +1,4 @@
-"""Kernel tests: probability pairs, Bhattacharyya fidelity, susceptibility, curves."""
+"""Kernel tests: the crossing fidelity against its definition, susceptibility, curves."""
 
 import math
 import re
@@ -6,9 +6,13 @@ import re
 import numpy as np
 import pytest
 
+from oracles import (
+    bhattacharyya_fidelity,
+    composed_fidelity,
+    single_site_state,
+)
 from partialfid import (
     Curve,
-    bhattacharyya_fidelity,
     chi_max_scan,
     crossing_fidelity,
     crossing_susceptibility,
@@ -16,16 +20,12 @@ from partialfid import (
     heisenberg_curve,
     lmg_crossings,
     lmg_curve,
-    lmg_energy,
-    lmg_fidelity,
-    lmg_ground_magnetization,
-    single_site_state,
     solve_bethe,
 )
 
 
 class TestDiagonalState:
-    """Checks and renormalization of the probability pairs of one site."""
+    """Renormalization in the Bhattacharyya oracle."""
 
     def test_exact_pair_kept(self):
         # an exact pair is not rescaled: the overlap with the polarized pair
@@ -39,18 +39,10 @@ class TestDiagonalState:
         f = bhattacharyya_fidelity((0.5 + 3e-13, 0.5 + 3e-13), (1.0, 0.0))
         assert abs(f - math.sqrt(0.5)) <= 1e-15
 
-    def test_large_drift_rejected(self):
-        with pytest.raises(ValueError):
-            bhattacharyya_fidelity((0.6, 0.5), (0.5, 0.5))
-        with pytest.raises(ValueError):
-            bhattacharyya_fidelity((0.5, 0.5), (0.6, 0.5))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bhattacharyya_fidelity((1.0 + 1e-13, -1e-13), (0.5, 0.5))
-
 
 class TestSingleSiteState:
+    """The one-site pairs of the oracle."""
+
     def test_polarized_three_quarters(self):
         # <sigma^z> = 2*3/8 = 0.75
         assert single_site_state(8, 3) == (0.875, 0.125)
@@ -63,15 +55,6 @@ class TestSingleSiteState:
 
     def test_negative_magnetization(self):
         assert single_site_state(8, -4) == (0.0, 1.0)
-
-    @pytest.mark.parametrize("n, m", [
-        (7, 2), (0, 0), (-2, 0), (8, 5), (8, -5),
-        # an array of sizes is rejected when any one entry is invalid
-        (np.array([8, 7]), 2), (np.array([8, 0]), 0), (np.array([8, 4]), 3),
-    ])
-    def test_domain_errors(self, n, m):
-        with pytest.raises(ValueError):
-            single_site_state(n, m)
 
     def test_array_argument(self):
         p_up, p_down = single_site_state(8, np.array([4, 3, 0]))
@@ -139,6 +122,45 @@ class TestCrossingFidelity:
     def test_index_outside_the_crossings_rejected(self, n, j):
         with pytest.raises(ValueError, match="crossing index"):
             crossing_fidelity(n, j)
+
+    @pytest.mark.parametrize("n", [
+        7, 0, -2,
+        # an array of sizes is rejected when any one entry is invalid
+        np.array([8, 7]), np.array([8, 0]),
+    ])
+    def test_invalid_size_rejected(self, n):
+        with pytest.raises(ValueError, match="number of spins"):
+            crossing_fidelity(n, 0)
+
+
+# Every even N up to 4096, and every size the lmg-curve benchmark workload
+# reaches (five bases, each shifted by -4, -2 or 0).
+BIT_SIZES = [*range(2, 4097, 2),
+             *(base + shift for base in (4000, 8000, 16000, 32000, 64000)
+               for shift in (-4, -2, 0))]
+
+
+class TestBitsOfTheDefinition:
+    """`crossing_fidelity` returns the bits of the renormalizing definition."""
+
+    def test_every_crossing_equals_the_composition(self):
+        for n in BIT_SIZES:
+            j = np.arange(n // 2)
+            assert np.array_equal(crossing_fidelity(n, j),
+                                  composed_fidelity(n, j)), n
+
+    def test_array_of_sizes_equals_the_composition(self):
+        # the call chi_max_scan makes: crossing 0 of many sizes at once
+        sizes = np.array(BIT_SIZES)
+        assert np.array_equal(crossing_fidelity(sizes, 0),
+                              composed_fidelity(sizes, 0))
+
+    def test_pairs_sum_to_one_exactly(self):
+        # no pair needs the division by its sum the definition makes;
+        # m runs over every sector n/2 - j and n/2 - j - 1 of the crossings
+        for n in BIT_SIZES:
+            p_up, p_down = single_site_state(n, np.arange(n // 2 + 1))
+            assert np.all(p_up + p_down == 1.0), n
 
 
 class TestCrossingSusceptibility:
@@ -257,21 +279,12 @@ class TestFidelityCurve:
     lambda: Curve(4, [1.0, 0.5], [math.nan]),
     lambda: Curve(4, [1.0, 0.5], [math.inf]),
     lambda: Curve(4, [math.inf, 0.5], [0.5]),
-    lambda: bhattacharyya_fidelity((math.nan, 0.5), (0.5, 0.5)),
-    lambda: single_site_state(4, math.nan),
     lambda: crossing_fidelity(4, math.nan),
     lambda: crossing_fidelity(4, 0.5),
-    lambda: lmg_fidelity(4, np.array([0.0, 0.5])),
-    lambda: lmg_energy(4, 1, math.nan),
-    lambda: lmg_energy(4, 1, math.inf),
-    lambda: lmg_ground_magnetization(4, math.nan),
-    lambda: lmg_ground_magnetization(4, math.inf),
+    lambda: crossing_fidelity(4, np.array([0.0, 0.5])),
 ], ids=["chi-nan-spacing", "chi-nan-fidelity", "chi-infinite-spacing",
         "curve-nan-spacing", "curve-infinite-spacing", "curve-infinite-field",
-        "nan-probability",
-        "nan-magnetization", "nan-crossing", "fractional-crossing",
-        "lmg-fractional-crossing", "lmg-nan-field", "lmg-infinite-field",
-        "lmg-ground-nan-field", "lmg-ground-infinite-field"])
+        "nan-crossing", "fractional-crossing", "fractional-crossing-array"])
 def test_nan_infinite_and_fractional_inputs_rejected(call):
     # each range check is "all in range", which NaN fails
     with pytest.raises(ValueError):
@@ -286,16 +299,11 @@ def test_nan_infinite_and_fractional_inputs_rejected(call):
     (lambda: lmg_curve(8.0), "8.0"),
     (lambda: heisenberg_curve(8.0), "8.0"),
     (lambda: chi_max_scan("heisenberg", [8, 10, 12.0]), "12.0"),
-    (lambda: single_site_state(4, 0.5), "0.5"),
-    (lambda: single_site_state(4, 1.0), "1.0"),
     (lambda: crossing_fidelity(8, 1.0), "1.0"),
-    (lambda: lmg_energy(4, 1.5, 0.0), "1.5"),
     # a size that is no number fails as a size, before any bound uses it
     (lambda: solve_bethe(None, 1), "integer >= 2, got None"),
     (lambda: crossing_fidelity("8", 1), "integer >= 2, got 8"),
-    (lambda: lmg_fidelity("8", 0), "integer >= 2, got 8"),
-    (lambda: single_site_state(None, 0), "integer >= 2, got None"),
-    (lambda: lmg_energy("4", 1, 0.0), "integer >= 2, got 4"),
+    (lambda: crossing_fidelity(None, 0), "integer >= 2, got None"),
     # every given size is checked before duplicates merge
     (lambda: chi_max_scan("lmg", [8, 8.0]), "got 8.0"),
     (lambda: chi_max_scan("lmg", [8, None]), "got None"),
@@ -304,17 +312,14 @@ def test_nan_infinite_and_fractional_inputs_rejected(call):
     (lambda: solve_bethe(8, True), "got True"),
     (lambda: crossing_fidelity(8, True), "got True"),
     (lambda: crossing_fidelity(True, 0), "got True"),
-    (lambda: single_site_state(4, True), "got True"),
     (lambda: ed_sector_ground_energy(8, True), "got True"),
     (lambda: chi_max_scan("heisenberg", [8, True]), "got True"),
 ], ids=["bethe-fractional-sector", "bethe-float-size", "float-quantum-count",
         "ed-fractional-sector", "lmg-float-size", "heisenberg-float-size",
-        "scan-float-size", "fractional-magnetization", "float-magnetization",
-        "float-crossing", "lmg-fractional-magnetization", "bethe-none-size",
-        "crossing-string-size", "lmg-string-size", "magnetization-none-size",
-        "lmg-energy-string-size", "scan-duplicate-float-size",
-        "scan-none-size", "scan-string-size", "bethe-bool-sector",
-        "bool-crossing", "bool-size", "bool-magnetization", "ed-bool-sector",
+        "scan-float-size", "float-crossing", "bethe-none-size",
+        "crossing-string-size", "crossing-none-size",
+        "scan-duplicate-float-size", "scan-none-size", "scan-string-size",
+        "bethe-bool-sector", "bool-crossing", "bool-size", "ed-bool-sector",
         "scan-bool-size"])
 def test_non_integer_size_or_index_rejected(call, value):
     # a float is refused even when integral: sizes and indices are integers

@@ -1,18 +1,21 @@
-"""LMG model tests: energies, ground sectors, crossings, curves, chi_max."""
+"""LMG model tests: crossings against the sector energies, curves, chi_max."""
 
 import math
 
 import numpy as np
 import pytest
 
+from oracles import (
+    composed_fidelity,
+    lmg_energy,
+    lmg_fidelity,
+    lmg_ground_magnetization,
+)
 from partialfid import (
     crossing_fidelity,
     lmg_chi_max,
     lmg_crossings,
     lmg_curve,
-    lmg_energy,
-    lmg_fidelity,
-    lmg_ground_magnetization,
 )
 
 
@@ -32,18 +35,10 @@ class TestEnergy:
                 below = lmg_energy(n, n // 2 - j - 1, h)
                 assert above == pytest.approx(below, rel=1e-12, abs=1e-12)
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            lmg_energy(4, 3, 0.5)
-        with pytest.raises(ValueError):
-            lmg_energy(4, -1, 0.5)
-        with pytest.raises(ValueError):
-            lmg_energy(4, 2, -0.1)
-        with pytest.raises(ValueError):
-            lmg_energy(5, 2, 0.5)
-
 
 class TestGroundMagnetization:
+    """The ground sector read off the crossing list (`lmg_ground_magnetization`)."""
+
     def test_saturated_phase(self):
         assert lmg_ground_magnetization(100, 1.2) == 50
         assert lmg_ground_magnetization(100, 1.0) == 50
@@ -79,12 +74,6 @@ class TestGroundMagnetization:
                 energies = [lmg_energy(n, m, h) for m in range(n // 2 + 1)]
                 assert lmg_ground_magnetization(n, h) == int(np.argmin(energies))
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            lmg_ground_magnetization(10, -0.2)
-        with pytest.raises(ValueError):
-            lmg_ground_magnetization(7, 0.5)
-
 
 class TestCrossings:
     def test_ten_spins(self):
@@ -108,6 +97,11 @@ class TestCrossings:
             curve = lmg_curve(n)
             assert len(curve) == n // 2
             assert np.array_equal(curve.h, fields)
+
+    @pytest.mark.parametrize("n", [7, 0, -2])
+    def test_domain_errors(self, n):
+        with pytest.raises(ValueError, match="number of spins"):
+            lmg_crossings(n)
 
 
 class TestCurve:
@@ -136,11 +130,12 @@ class TestCurve:
             assert np.max(np.abs(f - closed) / closed) <= 1e-12
 
     def test_closed_form_equals_composition(self):
+        # the closed form against the library and against the definition
         for n in (2, 4, 26, 1000):
             j = np.arange(n // 2)
             closed = lmg_fidelity(n, j)
-            composed = crossing_fidelity(n, j)
-            assert np.max(np.abs(closed - composed) / closed) <= 1e-12
+            for composed in (crossing_fidelity(n, j), composed_fidelity(n, j)):
+                assert np.max(np.abs(closed - composed) / closed) <= 1e-12
 
     def test_minimum_at_first_crossing(self):
         for n in (4, 16, 210):
