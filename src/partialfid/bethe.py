@@ -25,9 +25,12 @@ for small roots, which sum to zero, sum_l 2 arctan((x_j - x_l)/2) is about
 n_down x_j, itself about n_down arctan(x_j).  For n_down = 2 this start is
 the exact root tan(pi/(2(n-1))), so a lone solve of that sector returns it
 after one residual check, in the Newton loop's own arithmetic and with no
-loop arrays built; sectors n_down <= 1 have no positive root.  A chi_max
-scan (`analysis.chi_max_scan`) needs only these sectors and solves them by
-lone calls, three per size.  With
+loop arrays built.  Sectors n_down <= 1 have no positive root and return
+as soon as the sector and any start are checked.  A chi_max scan
+(`analysis.chi_max_scan`) needs only these three sectors and solves them by
+lone calls, three per size, so their cost is mostly the call itself: the
+sector check takes a plain-int path without numpy, and the record's
+ascending-order check one `count_nonzero`.  With
 K(d) = 1/(1 + d^2/4) the Jacobian is symmetric and closed form: off the
 diagonal dF_j/dy_l = K(y_j - y_l) - K(y_j + y_l), and on it
 2n/(1 + y_j^2) - (sum_l K(y_j - y_l) - 1) - sum_l K(y_j + y_l)
@@ -96,7 +99,9 @@ class BetheRoots:
 
     def __post_init__(self):
         x = self.rapidities
-        if len(x) > 1 and not (x[1:] > x[:-1]).all():
+        # count_nonzero costs a third of ndarray.all() on two roots; a NaN
+        # compares False, so it is refused too
+        if len(x) > 1 and np.count_nonzero(x[1:] > x[:-1]) < len(x) - 1:
             raise ValueError("rapidities must be strictly ascending")
 
     @property
@@ -137,10 +142,11 @@ def solve_bethe(n, n_down, start=None):
     their mirror image, a zero root for odd n_down, and the roots themselves.
     It stops once the maximum equation violation is at most
     TOL * max(1, n/64), since the equation terms grow like n pi, and gives
-    up after MAX_ITER steps.  Sector n_down = 2 without a start is returned
-    from its exact root tan(pi/(2(n-1))) after one residual check, which
-    repeats the loop's first evaluation bit for bit; only a root that missed
-    the threshold would go on to Newton steps.
+    up after MAX_ITER steps.  Sectors n_down <= 1 have no positive root and
+    return right after the sector and start checks.  Sector n_down = 2
+    without a start is returned from its exact root tan(pi/(2(n-1))) after
+    one residual check, which repeats the loop's first evaluation bit for
+    bit; only a root that missed the threshold would go on to Newton steps.
 
     Args:
         n: ring length, even.
@@ -161,6 +167,15 @@ def solve_bethe(n, n_down, start=None):
             root that is not positive and finite.
     """
     _check_range(n, "n_down", n_down, lambda size: (0, size // 2))
+    size = n_down // 2  # positive roots
+    if start is not None:
+        y = np.array(start, dtype=float)
+        if y.shape != (size,):
+            raise ValueError(f"start must hold {size} roots, got shape {y.shape}")
+        if not (np.isfinite(y).all() and (y > 0.0).all()):
+            raise ValueError("start roots must be positive and finite")
+    if size == 0:  # the lone zero root of n_down = 1 solves its equation
+        return BetheRoots(n, np.zeros(n_down), 0.0, 0)
 
     threshold = TOL * max(1.0, n / 64.0)  # terms of F grow like n pi
     if n_down == 2 and start is None:
@@ -168,21 +183,11 @@ def solve_bethe(n, n_down, start=None):
         # repeats the Newton loop's arithmetic, so every bit matches it
         y = float(np.tan(_dilute_phase(n, 2, 0.5)))
         u = float(np.arctan(y))
-        residual = float(abs(2.0 * n * u - np.pi - 2.0 * u))
+        residual = abs(2.0 * n * u - np.pi - 2.0 * u)
         if residual <= threshold:
             return BetheRoots(n, np.array([-y, y]), residual, 0)
     odd = n_down % 2
-    positive = _quantum_numbers(n_down)[n_down - n_down // 2:]
-    if start is not None:
-        y = np.array(start, dtype=float)
-        if y.shape != positive.shape:
-            raise ValueError(f"start must hold {positive.size} roots, "
-                             f"got shape {y.shape}")
-        if not (np.isfinite(y).all() and (y > 0.0).all()):
-            raise ValueError("start roots must be positive and finite")
-    size = positive.size
-    if size == 0:  # the lone zero root of n_down = 1 solves its equation
-        return BetheRoots(n, np.zeros(odd), 0.0, 0)
+    positive = _quantum_numbers(n_down)[n_down - size:]
     if start is None:
         y = np.tan(_dilute_phase(n, n_down, positive))
 

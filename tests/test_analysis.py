@@ -12,6 +12,7 @@ from partialfid import (
     crossing_susceptibility,
     fit_power_law,
     heisenberg_curve,
+    lmg,
     lmg_chi_max,
     lmg_curve,
     sector_epsilon,
@@ -136,6 +137,36 @@ class TestChiMaxScan:
             chi_max_scan("heisenberg", (2,))
         with pytest.raises(ValueError):
             chi_max_scan("lmg", ())
+
+    @pytest.mark.parametrize("model, sizes, message", [
+        ("lmg", [64, 65, 66], "an even integer >= 2, got 65"),
+        ("heisenberg", [64, 65, 66], "an even integer >= 4, got 65"),
+        ("heisenberg", [64, 2, 66], "an even integer >= 4, got 2"),
+        ("lmg", [2**70], "below 2**63, got 1180591620717411303424"),
+        ("lmg", [64, 2**63, 66], "below 2**63, got 9223372036854775808"),
+        ("heisenberg", [2**70, 64, 128],
+         "below 2**63, got 1180591620717411303424"),
+        ("heisenberg", np.array([64, 66, 67]), "an even integer >= 4, got 67"),
+    ], ids=["lmg-odd", "heisenberg-odd", "heisenberg-floor", "lmg-int64",
+            "lmg-uint64", "heisenberg-int64", "numpy-array"])
+    def test_invalid_size_named_before_any_solve(self, monkeypatch, model,
+                                                 sizes, message):
+        # the message names only the size that fails, and no sector is solved
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before every size was checked")
+
+        monkeypatch.setattr(bethe, "solve_bethe", no_solve)
+        monkeypatch.setattr(lmg, "lmg_chi_max", no_solve)
+        with pytest.raises(ValueError) as info:
+            chi_max_scan(model, sizes)
+        assert str(info.value) == f"number of spins must be {message}"
+
+    @pytest.mark.parametrize("model", ["lmg", "heisenberg"])
+    def test_numpy_sizes_give_the_plain_int_rows(self, model):
+        sizes = [64, 8, 64, 10, 8192]
+        rows = chi_max_scan(model, sizes)
+        assert chi_max_scan(model, np.array(sizes)) == rows
+        assert all(type(n) is int for n, _, _ in rows)
 
     @pytest.mark.parametrize("model", ["lmg", "heisenberg"])
     def test_non_integer_size_rejected(self, model):

@@ -80,12 +80,19 @@ class TestBetheRoots:
         assert [f.name for f in dataclasses.fields(BetheRoots)] == [
             "n", "rapidities", "residual", "iterations"]
 
-    @pytest.mark.parametrize("rapidities, message", [
-        ([-1.0, 1.0, 0.0], "strictly ascending"),
-    ], ids=["order"])
-    def test_inconsistent_roots_rejected(self, rapidities, message):
-        with pytest.raises(ValueError, match=message):
+    @pytest.mark.parametrize("rapidities", [
+        [-1.0, 1.0, 0.0], [1.0, -1.0], [0.5, 0.5], [math.nan, 1.0],
+        [-1.0, math.nan],
+    ], ids=["order", "two-roots-descending", "equal", "nan-first", "nan-last"])
+    def test_inconsistent_roots_rejected(self, rapidities):
+        with pytest.raises(ValueError, match="strictly ascending"):
             BetheRoots(8, np.array(rapidities), 0.0, 0)
+
+    @pytest.mark.parametrize("rapidities", [[], [0.0], [-1.0, 1.0],
+                                            [-1.0, 0.0, 1.0]])
+    def test_ascending_roots_accepted(self, rapidities):
+        assert BetheRoots(8, np.array(rapidities), 0.0, 0).n_down == len(
+            rapidities)
 
 
 class TestSolver:
@@ -243,9 +250,13 @@ class TestStart:
             solve_bethe(12, 6, start=start)
 
     def test_sectors_without_positive_roots_take_an_empty_start(self):
-        assert solve_bethe(12, 1, start=[]).rapidities.tolist() == [0.0]
-        with pytest.raises(ValueError):
-            solve_bethe(12, 1, start=[0.5])
+        for n_down in (0, 1):
+            roots = solve_bethe(12, n_down, start=[])
+            assert roots.rapidities.tolist() == [0.0] * n_down
+            assert (roots.residual, roots.iterations) == (0.0, 0)
+            for start in ([0.5], [1.0], [[]]):
+                with pytest.raises(ValueError, match="start must hold 0 roots"):
+                    solve_bethe(12, n_down, start=start)
 
     @pytest.mark.parametrize("n, n_down", [(12, 5), (64, 32), (256, 127)])
     def test_solved_roots_take_no_step(self, n, n_down):

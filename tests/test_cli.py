@@ -346,6 +346,70 @@ class TestCurve:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["curve", "scaling"])
+@pytest.mark.parametrize("model, sizes, message", [
+    ("lmg", "64,65,66", "an even integer >= 2, got 65"),
+    ("heisenberg", "64,65,66", "an even integer >= 4, got 65"),
+    ("heisenberg", "8,2,16", "an even integer >= 4, got 2"),
+    ("lmg", "1180591620717411303424,64,128",
+     "below 2**63, got 1180591620717411303424"),
+    ("heisenberg", "64,128,1180591620717411303424",
+     "below 2**63, got 1180591620717411303424"),
+    ("heisenberg", "64,9223372036854775808,128",
+     "below 2**63, got 9223372036854775808"),
+], ids=["lmg-odd", "heisenberg-odd", "heisenberg-floor", "lmg-int64",
+        "heisenberg-int64", "heisenberg-2**63"])
+def test_invalid_size_names_only_that_size(capsys, monkeypatch, command, model,
+                                           sizes, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before every size was checked")
+
+    monkeypatch.setattr(bethe, "solve_bethe", no_solve)
+    monkeypatch.setattr(lmg, "lmg_chi_max", no_solve)
+    code, out, err = run(capsys, command, "--model", model, "--sizes", sizes)
+    assert (code, out, err) == (
+        2, "", f"error: number of spins must be {message}\n")
+
+
+class TestCells:
+    """A window of one repeated value is formatted once, as the general path would."""
+
+    @staticmethod
+    def one_by_one(values, json_format):
+        if json_format or not isinstance(values[0], float):
+            return [json.dumps(value) for value in values]
+        return ["%.17g" % value for value in values]
+
+    @pytest.mark.parametrize("json_format", [False, True], ids=["csv", "json"])
+    @pytest.mark.parametrize("column", [
+        (1.0,) * 5,
+        np.full(7, 2.0 / 3.0),
+        [0.1, 0.1],
+        [0.0, -0.0, 0.0],
+        [-0.0, 0.0],
+        [-0.0, -0.0, -0.0],
+        [0.0, 0.0],
+        (math.nan,) * 4,
+        np.full(3, math.nan),
+        [1.0, 1.0, math.nan],
+        np.array([math.inf, math.inf]),
+        [5.0],
+        np.array([3, 3, 3]),
+        np.array([True, True]),
+        np.array([False, False]),
+    ], ids=["tuple", "array", "list", "zeros-mixed", "negative-zero-first",
+            "negative-zeros", "zeros", "nan-tuple", "nan-array", "nan-last",
+            "inf", "single", "integers", "true", "false"])
+    def test_cells_equal_the_one_by_one_format(self, column, json_format):
+        values = np.asarray(column).tolist()
+        assert cli._cells(column, json_format) == self.one_by_one(
+            values, json_format)
+
+    def test_signed_zeros_keep_their_signs(self):
+        assert cli._cells([0.0, -0.0, 0.0], False) == ["0", "-0", "0"]
+        assert cli._cells([-0.0, 0.0], True) == ["-0.0", "0.0"]
+
+
 class TestScaling:
     def test_lmg_fit_row(self, capsys):
         code, out, _ = run(capsys, "scaling", "--model", "lmg",

@@ -325,3 +325,75 @@ def test_non_integer_size_or_index_rejected(call, value):
     # a float is refused even when integral: sizes and indices are integers
     with pytest.raises(ValueError, match=re.escape(value)):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: solve_bethe(True, 0), "number of spins must be an even integer "
+                                   ">= 2, got True"),
+    (lambda: solve_bethe(8, True), "n_down must be an integer in [0, 4], "
+                                   "got True"),
+    (lambda: solve_bethe(8.0, 2), "number of spins must be an even integer "
+                                  ">= 2, got 8.0"),
+    (lambda: solve_bethe(8, 2.0), "n_down must be an integer in [0, 4], "
+                                  "got 2.0"),
+    (lambda: solve_bethe(np.int64(7), 1), "number of spins must be an even "
+                                          "integer >= 2, got 7"),
+    (lambda: solve_bethe(np.int64(8), 5), "n_down must be an integer in "
+                                          "[0, 4], got 5"),
+    (lambda: solve_bethe(8, np.int64(5)), "n_down must be an integer in "
+                                          "[0, 4], got 5"),
+    (lambda: crossing_fidelity(True, 0), "number of spins must be an even "
+                                         "integer >= 2, got True"),
+    (lambda: crossing_fidelity(8, True), "crossing index must be an integer "
+                                         "in [0, 3], got True"),
+    (lambda: crossing_fidelity(8.0, 0), "number of spins must be an even "
+                                        "integer >= 2, got 8.0"),
+    (lambda: crossing_fidelity(8, 1.0), "crossing index must be an integer "
+                                        "in [0, 3], got 1.0"),
+    (lambda: crossing_fidelity(np.int64(8), 4), "crossing index must be an "
+                                                "integer in [0, 3], got 4"),
+])
+def test_size_and_index_messages(call, message):
+    # plain ints take a scalar check; a bool, a numpy integer or a float goes
+    # through the general one, with the same message as a plain int would
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n, j", [(8, 2), (2, 0), (8192, 4095)])
+def test_numpy_integers_give_the_plain_int_results(n, j):
+    assert crossing_fidelity(np.int64(n), np.int64(j)) \
+        == crossing_fidelity(n, j)
+    n_down = min(j, 2)
+    numpy_roots = solve_bethe(np.int64(n), np.int64(n_down))
+    roots = solve_bethe(n, n_down)
+    assert numpy_roots.rapidities.tobytes() == roots.rapidities.tobytes()
+    assert (numpy_roots.residual, numpy_roots.iterations) \
+        == (roots.residual, roots.iterations)
+
+
+@pytest.mark.parametrize("call, size", [
+    (lambda: solve_bethe(2**70, 0), 2**70),
+    (lambda: solve_bethe(2**63, 1), 2**63),
+    (lambda: crossing_fidelity(2**64, 0), 2**64),
+    (lambda: crossing_fidelity(np.uint64(2**63), 0), 2**63),
+    (lambda: crossing_fidelity(np.array([8, 2**63], dtype=np.uint64), 0),
+     2**63),
+    (lambda: lmg_curve(2**70), 2**70),
+    (lambda: heisenberg_curve(2**70), 2**70),
+    (lambda: ed_sector_ground_energy(2**70, 1), 2**70),
+], ids=["bethe", "bethe-2**63", "crossing", "numpy-scalar", "numpy-array",
+        "lmg-curve", "heisenberg-curve", "ed"])
+def test_size_beyond_int64_rejected(call, size):
+    # sizes are int64 in every array; the message names the size
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"number of spins must be below 2**63, got {size}"
+
+
+def test_array_size_message_names_the_first_invalid_entry():
+    with pytest.raises(ValueError) as info:
+        crossing_fidelity(np.array([8, 7, 9, 10]), 0)
+    assert str(info.value) == ("number of spins must be an even integer >= 2, "
+                               "got 7")
