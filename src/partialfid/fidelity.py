@@ -42,10 +42,10 @@ def _check_size(n, floor=2):
     entry must pass, and the message names the first entry that fails.
     """
     invalid = not _is_integer(n) or (n < floor) | (n % 2 != 0) | (n > _SIZE_MAX)
-    if isinstance(invalid, np.ndarray):  # one scalar size needs no array reduction
+    if isinstance(invalid, np.ndarray):
         if not invalid.any():
             return
-        n = n[invalid][0]
+        n = n[invalid][0]  # the message names the first entry that fails
     elif not invalid:
         return
     if _is_integer(n) and n > _SIZE_MAX:
