@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bethe, lmg
-from .fidelity import _check_sizes, crossing_fidelity, crossing_susceptibility
+from .fidelity import _check_size, crossing_fidelity, crossing_susceptibility
 
 # Smallest system size of each model; a ring's first spacing needs N >= 4.
 SIZE_FLOORS = {"lmg": 2, "heisenberg": 4}
@@ -73,15 +73,18 @@ def chi_max_scan(model, sizes):
     sizes = list(sizes)
     if not sizes:
         raise ValueError("at least one size required")
-    # every given size, before a set merges 8 and 8.0
-    _check_sizes(sizes, SIZE_FLOORS[model])
-    sizes = sorted(set(map(int, sizes)))
+    for n in sizes:  # every given size, before a set merges 8 and 8.0
+        _check_size(n, SIZE_FLOORS[model])
+    sizes = sorted({int(n) for n in sizes})
 
     if model == "lmg":
         return [(n, 1.0 - 1.0 / n, lmg.lmg_chi_max(n)) for n in sizes]
-    # one row of rapidities per size, for each sector n_down = 0, 1, 2
-    epsilon = np.array([bethe._epsilon(np.array([
-        bethe.solve_bethe(n, k).rapidities for n in sizes])) for k in range(3)])
+    epsilon = np.empty((3, len(sizes)))  # sectors n_down = 0, 1, 2 per size
+    for k, row in enumerate(epsilon):
+        x = np.empty((len(sizes), k))
+        for roots, n in zip(x, sizes):
+            roots[:] = bethe.solve_bethe(n, k).rapidities
+        row[:] = bethe._epsilon(x)
     h0, h1 = 0.5 * (epsilon[1:] - epsilon[:-1])
     n = np.array(sizes)
     chi = crossing_susceptibility(crossing_fidelity(n, 0), h0 - h1)

@@ -183,7 +183,7 @@ def solve_bethe(n, n_down, start=None):
         # repeats the Newton loop's arithmetic, so every bit matches it
         y = float(np.tan(_dilute_phase(n, 2, 0.5)))
         u = float(np.arctan(y))
-        residual = abs(2.0 * n * u - np.pi - 2.0 * u)
+        residual = float(abs(2.0 * n * u - np.pi - 2.0 * u))
         if residual <= threshold:
             return BetheRoots(n, np.array([-y, y]), residual, 0)
     odd = n_down % 2

@@ -30,7 +30,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import analysis, bethe, ed, lmg
-from .fidelity import _check_sizes
+from .fidelity import _check_size
 
 CURVE_FIELDS = ("model", "N", "j", "h", "fidelity", "delta_h", "chi")
 SCALING_FIELDS = ("model", "N", "h_at_max", "chi_max", "exponent", "r_squared")
@@ -85,17 +85,12 @@ def _cells(column, json_format):
     of the whole column writes every value as it would alone, and no number,
     boolean or null contains the ", " between them.  CSV writes floats
     through one `%.17g` format over the whole column, and integers and
-    booleans (`true`/`false`) as JSON does.  A window of one repeated value,
-    such as a scan's h_at_max or a uniform spacing, is formatted once.
+    booleans (`true`/`false`) as JSON does.
     """
     values = column.tolist() if isinstance(column, np.ndarray) else column
     if not values:
         return []
-    first = values[0]
-    # equal numbers print alike, except 0.0 and -0.0, so zeros are excluded
-    if len(values) > 1 and first != 0 and values.count(first) == len(values):
-        return _cells(values[:1], json_format) * len(values)
-    if json_format or not isinstance(first, float):
+    if json_format or not isinstance(values[0], float):
         return json.dumps(values)[1:-1].split(", ")
     return (",".join(["%.17g"] * len(values)) % tuple(values)).split(",")
 
@@ -267,12 +262,12 @@ def main(argv=None):
         if args.command == "validate":
             return cmd_validate(args.max_size, args.output)
         sizes = _parse_sizes(args.sizes)
-        _check_sizes(sizes, analysis.SIZE_FLOORS[args.model])
-        if (args.command, args.model) == ("curve", "heisenberg"):
-            for n in sizes:
-                if n > bethe.SIZE_CAP:
-                    raise ConfigError(f"heisenberg curve sizes are capped at "
-                                      f"{bethe.SIZE_CAP} spins, got {n}")
+        for n in sizes:
+            _check_size(n, analysis.SIZE_FLOORS[args.model])
+            if (args.command, args.model) == ("curve", "heisenberg") \
+                    and n > bethe.SIZE_CAP:
+                raise ConfigError(f"heisenberg curve sizes are capped at "
+                                  f"{bethe.SIZE_CAP} spins, got {n}")
         if args.command == "scaling" and len(set(sizes)) < 3:
             raise ConfigError("scaling needs at least 3 distinct sizes")
         echo = None

@@ -38,9 +38,12 @@ def _is_integer(value):
 def _check_size(n, floor=2):
     """Reject a system size that is not an even integer of at least `floor` spins.
 
-    A size beyond int64 is refused too.  `n` may be an integer array; every
-    entry must pass, and the message names the first entry that fails.
+    A size beyond int64 is refused too.  A valid plain int returns before any
+    numpy code runs.  `n` may be an integer array; every entry must pass, and
+    the message names the first entry that fails.
     """
+    if type(n) is int and floor <= n <= _SIZE_MAX and n % 2 == 0:  # no bool
+        return
     invalid = not _is_integer(n) or (n < floor) | (n % 2 != 0) | (n > _SIZE_MAX)
     if isinstance(invalid, np.ndarray):
         if not invalid.any():
@@ -54,21 +57,6 @@ def _check_size(n, floor=2):
                      f"got {n}")
 
 
-def _check_sizes(sizes, floor):
-    """Reject the first of a sequence of sizes that `_check_size` rejects.
-
-    Plain ints are checked together: their types by one `map`, their bounds by
-    `min` and `max`, and their parity by one array operation.  Only when that
-    fails is each size checked alone, so the message names the size that
-    fails.
-    """
-    if (set(map(type, sizes)) == {int} and floor <= min(sizes)
-            and max(sizes) <= _SIZE_MAX and not (np.array(sizes) % 2).any()):
-        return
-    for n in sizes:
-        _check_size(n, floor)
-
-
 def _check_range(n, name, value, bounds):
     """Reject a size `_check_size` rejects, or `value` not an integer in bounds(n).
 
@@ -76,17 +64,13 @@ def _check_range(n, name, value, bounds):
     size has passed, so a size that is no number fails as a size.  `value`
     may be an integer array, and `n` an array of sizes with arrays of
     bounds; every entry must pass.  The error message names `name`, the
-    range and the value.  A valid plain-int size and index are checked
-    without numpy and without a `_check_size` call.
+    range and the value.
     """
-    # the test `_check_size` makes, for plain ints only: no bool, no array
-    if type(n) is int and type(value) is int and 2 <= n <= _SIZE_MAX \
-            and n % 2 == 0:
-        low, high = bounds(n)
+    _check_size(n)
+    low, high = bounds(n)
+    if type(value) is int and type(n) is int:  # scalars need no array; no bool
         valid = low <= value <= high
     else:
-        _check_size(n)
-        low, high = bounds(n)
         value_array = np.asarray(value)
         valid = _is_integer(value) and np.all((low <= value_array)
                                               & (value_array <= high))

@@ -372,7 +372,7 @@ def test_invalid_size_names_only_that_size(capsys, monkeypatch, command, model,
 
 
 class TestCells:
-    """A window of one repeated value is formatted once, as the general path would."""
+    """Each cell is its value formatted alone, repeated values and signed zeros too."""
 
     @staticmethod
     def one_by_one(values, json_format):

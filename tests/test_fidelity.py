@@ -371,6 +371,9 @@ def test_numpy_integers_give_the_plain_int_results(n, j):
     assert numpy_roots.rapidities.tobytes() == roots.rapidities.tobytes()
     assert (numpy_roots.residual, numpy_roots.iterations) \
         == (roots.residual, roots.iterations)
+    # the record holds plain floats whatever integer type the size had
+    assert type(numpy_roots.residual) is float
+    assert type(roots.residual) is float
 
 
 @pytest.mark.parametrize("call, size", [
